@@ -1,15 +1,19 @@
-// Shared-scan batching benchmark with a machine-readable perf record:
-// emits BENCH_shared.json comparing solo execution (every statement runs
-// its own sampling pass) against the engine::ScanScheduler (concurrent
-// statements coalesce into shared passes, repeats hit the pilot/result
-// caches) for N = 1 / 4 / 16 concurrent statements, on two workloads:
+// Scan-scheduler benchmark with a machine-readable perf record: emits
+// BENCH_shared.json comparing solo execution (caches off, statements run
+// one after another, each with its own sampling pass) against the
+// engine::ScanScheduler with its caches on and all statements submitted
+// concurrently (identical statements share one in-flight run, repeats hit
+// the pilot/result caches) for N = 1 / 4 / 16 statements, on two
+// workloads:
 //
 //   identical — N copies of the same WHERE + GROUP BY statement (the
-//               repeated-dashboard-panel case); batching dedups them into
-//               one execution, so rows scanned collapse by ~N.
+//               repeated-dashboard-panel case); single-flight and the
+//               result cache dedup them into one execution, so rows
+//               scanned collapse by ~N.
 //   mixed     — N statements with different predicate literals over the
-//               same table; one shared pass sized for the weakest
-//               participant serves all of them.
+//               same table; every statement has its own cache keys, so
+//               each runs its own pass and the row shows what concurrent
+//               submission costs when there is nothing to share.
 //
 // Hard checks (exit 1 on violation):
 //   * every batched answer is bit-identical, field by field, to the
@@ -157,7 +161,7 @@ int main(int argc, char** argv) {
   using namespace isla;
   const Config cfg = ParseArgs(argc, argv);
   bench::PrintHeader(
-      "Shared-scan multi-query batching",
+      "Scan scheduler: caches and single-flight",
       "solo vs batched stmts/s and rows scanned, N=1/4/16 identical and "
       "mixed predicates; emits " + cfg.out);
   std::printf("kernel dispatch: %s (cpu: %s)\n",
@@ -229,19 +233,16 @@ int main(int argc, char** argv) {
         expected.push_back(*r);
       }
 
-      // Solo: no admission window, no caches — N independent passes.
+      // Solo: no caches — N independent passes.
       engine::ScanSchedulerOptions solo_opts;
-      solo_opts.admission_window_micros = 0;
       solo_opts.enable_pilot_cache = false;
       solo_opts.enable_result_cache = false;
       engine::ScanScheduler solo_scheduler(solo_opts);
       RunResult solo = RunWorkload(&solo_scheduler, stmts, expected,
                                    /*concurrent=*/false);
 
-      // Batched: admission window + caches, all N submitted concurrently.
-      engine::ScanSchedulerOptions batch_opts;
-      batch_opts.admission_window_micros = 20'000;
-      engine::ScanScheduler batch_scheduler(batch_opts);
+      // Batched: caches + single-flight, all N submitted concurrently.
+      engine::ScanScheduler batch_scheduler;
       RunResult batched = RunWorkload(&batch_scheduler, stmts, expected,
                                       /*concurrent=*/true);
 
@@ -267,8 +268,12 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"bench\": \"shared\",\n");
   std::fprintf(f, "  \"rows\": %" PRIu64 ",\n", cfg.rows);
   std::fprintf(f, "  \"blocks\": %" PRIu64 ",\n", cfg.blocks);
+  std::fprintf(f, "  \"hardware_threads\": %u,\n",
+               std::max(1u, std::thread::hardware_concurrency()));
   std::fprintf(f, "  \"kernel_dispatch\": \"%s\",\n",
                std::string(runtime::kernels::ActiveLevelName()).c_str());
+  std::fprintf(f, "  \"cpu_features\": \"%s\",\n",
+               runtime::kernels::CpuFeatureString().c_str());
   std::fprintf(f, "  \"bit_identical\": true,\n");
   std::fprintf(f, "  \"identical16_rows_reduction\": %.3f,\n",
                identical16_reduction);

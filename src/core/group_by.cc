@@ -428,75 +428,78 @@ void ApplyTopK(uint64_t top_k, GroupedAggregateResult* result) {
   result->groups.resize(top_k);
 }
 
-Result<GroupedAggregateResult> GroupByEngine::Aggregate(
-    const GroupedSpec& spec, uint64_t seed_salt) const {
-  ISLA_RETURN_NOT_OK(options_.Validate());
-  ISLA_RETURN_NOT_OK(ValidateGroupedSpec(spec));
-
+Status GroupByEngine::RunPhase(const GroupedSpec& spec, uint64_t seed_salt,
+                               uint64_t phase_salt, uint64_t sample_count,
+                               bool want_sketch,
+                               GroupedBlockPartial* merged) const {
   const storage::Column& values = *spec.values;
   const size_t num_blocks = values.num_blocks();
   std::vector<uint64_t> sizes;
   sizes.reserve(num_blocks);
   for (const auto& b : values.blocks()) sizes.push_back(b->size());
+  const std::vector<uint64_t> alloc =
+      sampling::ProportionalAllocation(sizes, sample_count);
 
   auto block_of = [](const storage::Column* col, size_t j) {
     return col == nullptr ? nullptr : col->blocks()[j].get();
   };
+  std::vector<GroupedBlockPartial> partials(num_blocks);
+  ISLA_RETURN_NOT_OK(runtime::ParallelFor(
+      num_blocks, options_.parallelism, [&](uint64_t j) -> Status {
+        Xoshiro256 rng(
+            SplitMix64::Hash(options_.seed, seed_salt ^ phase_salt, j));
+        runtime::ScratchPool::Lease lease;
+        if (scratch_ != nullptr) lease = scratch_->Acquire();
+        return RunGroupedBlockPass(*values.blocks()[j],
+                                   block_of(spec.predicate, j), spec.op,
+                                   spec.literal, block_of(spec.keys, j),
+                                   alloc[j], &rng, &partials[j], lease.get(),
+                                   want_sketch);
+      }));
+  for (const GroupedBlockPartial& partial : partials) {
+    ISLA_RETURN_NOT_OK(merged->Merge(partial));
+  }
+  return Status::OK();
+}
 
-  // Runs one phase: per-block sampling on independent (seed, salt, j)
-  // streams, then a deterministic merge in block order.
-  auto run_phase = [&](uint64_t phase_salt,
-                       const std::vector<uint64_t>& alloc,
-                       GroupedBlockPartial* merged,
-                       bool want_sketch) -> Status {
-    std::vector<GroupedBlockPartial> partials(num_blocks);
-    ISLA_RETURN_NOT_OK(runtime::ParallelFor(
-        num_blocks, options_.parallelism, [&](uint64_t j) -> Status {
-          Xoshiro256 rng(
-              SplitMix64::Hash(options_.seed, seed_salt ^ phase_salt, j));
-          runtime::ScratchPool::Lease lease;
-          if (scratch_ != nullptr) lease = scratch_->Acquire();
-          return RunGroupedBlockPass(*values.blocks()[j],
-                                     block_of(spec.predicate, j), spec.op,
-                                     spec.literal, block_of(spec.keys, j),
-                                     alloc[j], &rng, &partials[j],
-                                     lease.get(), want_sketch);
-        }));
-    for (const GroupedBlockPartial& partial : partials) {
-      ISLA_RETURN_NOT_OK(merged->Merge(partial));
-    }
-    return Status::OK();
-  };
-
-  // --- Pre-estimation: shared grouped pilot ---
+Result<GroupedPilot> GroupByEngine::Pilot(const GroupedSpec& spec,
+                                          uint64_t seed_salt) const {
+  ISLA_RETURN_NOT_OK(options_.Validate());
+  ISLA_RETURN_NOT_OK(ValidateGroupedSpec(spec));
   const uint64_t pilot_size =
-      std::min<uint64_t>(options_.sigma_pilot_size, values.num_rows());
-  GroupedBlockPartial pilot_merged;
-  ISLA_RETURN_NOT_OK(run_phase(kGroupPilotSalt,
-                               sampling::ProportionalAllocation(sizes,
-                                                                pilot_size),
-                               &pilot_merged, /*want_sketch=*/false));
+      std::min<uint64_t>(options_.sigma_pilot_size, spec.values->num_rows());
+  GroupedBlockPartial merged;
+  ISLA_RETURN_NOT_OK(RunPhase(spec, seed_salt, kGroupPilotSalt, pilot_size,
+                              /*want_sketch=*/false, &merged));
   GroupedPilot pilot;
-  pilot.pilot_samples = pilot_merged.scanned;
-  pilot.all = pilot_merged.all;
-  pilot.groups = std::move(pilot_merged.groups);
+  pilot.pilot_samples = merged.scanned;
+  pilot.all = merged.all;
+  pilot.groups = std::move(merged.groups);
+  return pilot;
+}
+
+Result<GroupedAggregateResult> GroupByEngine::AggregateWithPilot(
+    const GroupedSpec& spec, const GroupedPilot& pilot,
+    uint64_t seed_salt) const {
+  ISLA_RETURN_NOT_OK(options_.Validate());
+  ISLA_RETURN_NOT_OK(ValidateGroupedSpec(spec));
+  const uint64_t num_rows = spec.values->num_rows();
 
   // --- Calculation: one shared scan sized for the weakest group ---
-  ISLA_ASSIGN_OR_RETURN(uint64_t scan,
-                        PlanGroupedScan(pilot, options_, values.num_rows(),
-                                        spec.want_sketch));
+  ISLA_ASSIGN_OR_RETURN(
+      uint64_t scan,
+      PlanGroupedScan(pilot, options_, num_rows, spec.want_sketch));
   GroupedBlockPartial main_merged;
   if (scan > 0) {
-    ISLA_RETURN_NOT_OK(run_phase(kGroupCalcSalt,
-                                 sampling::ProportionalAllocation(sizes, scan),
-                                 &main_merged, spec.want_sketch));
+    ISLA_RETURN_NOT_OK(RunPhase(spec, seed_salt, kGroupCalcSalt, scan,
+                                spec.want_sketch, &main_merged));
   }
 
   // --- Summarization: per-group answers + (e, β) contracts ---
   ISLA_ASSIGN_OR_RETURN(
       GroupedAggregateResult result,
-      SummarizeGroups(main_merged.groups, values.num_rows(),
-                      main_merged.scanned, pilot.pilot_samples, options_));
+      SummarizeGroups(main_merged.groups, num_rows, main_merged.scanned,
+                      pilot.pilot_samples, options_));
   if (spec.want_sketch) {
     ISLA_RETURN_NOT_OK(ApplyQuantileSummary(main_merged.sketches,
                                             spec.summary, options_,
@@ -504,6 +507,13 @@ Result<GroupedAggregateResult> GroupByEngine::Aggregate(
   }
   ApplyTopK(spec.summary.top_k, &result);
   return result;
+}
+
+Result<GroupedAggregateResult> GroupByEngine::Aggregate(
+    const GroupedSpec& spec, uint64_t seed_salt) const {
+  // --- Pre-estimation: shared grouped pilot ---
+  ISLA_ASSIGN_OR_RETURN(GroupedPilot pilot, Pilot(spec, seed_salt));
+  return AggregateWithPilot(spec, pilot, seed_salt);
 }
 
 }  // namespace core

@@ -283,12 +283,36 @@ class GroupByEngine {
 
   const IslaOptions& options() const { return options_; }
 
-  /// Runs the full grouped pipeline. `seed_salt` decorrelates repeated runs
-  /// (and the executor's method variants).
+  /// Runs the full grouped pipeline: AggregateWithPilot(spec,
+  /// Pilot(spec, seed_salt), seed_salt). `seed_salt` decorrelates repeated
+  /// runs (and the executor's method variants).
   Result<GroupedAggregateResult> Aggregate(const GroupedSpec& spec,
                                            uint64_t seed_salt = 0) const;
 
+  /// Pre-estimation alone. The pilot depends on the spec's columns,
+  /// predicate and keys, on (seed, seed_salt, sigma_pilot_size), and on
+  /// nothing else — not the precision target, not want_sketch, not
+  /// parallelism — so a caller may reuse it across queries that agree on
+  /// those.
+  Result<GroupedPilot> Pilot(const GroupedSpec& spec,
+                             uint64_t seed_salt = 0) const;
+
+  /// Calculation + Summarization planned from `pilot`, which must be what
+  /// Pilot(spec, seed_salt) returns under this engine's seed and pilot
+  /// size. The answer is then bit-identical to Aggregate(spec, seed_salt).
+  Result<GroupedAggregateResult> AggregateWithPilot(
+      const GroupedSpec& spec, const GroupedPilot& pilot,
+      uint64_t seed_salt = 0) const;
+
  private:
+  /// One phase: `sample_count` rows allocated proportionally over the
+  /// blocks, each block sampled on its independent
+  /// Hash(seed, seed_salt ^ phase_salt, j) stream, partials merged into
+  /// `merged` in block order.
+  Status RunPhase(const GroupedSpec& spec, uint64_t seed_salt,
+                  uint64_t phase_salt, uint64_t sample_count,
+                  bool want_sketch, GroupedBlockPartial* merged) const;
+
   IslaOptions options_;
   runtime::ScratchPool* scratch_;
 };

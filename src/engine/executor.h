@@ -74,9 +74,9 @@ inline constexpr uint64_t kGroupedUniformSalt = 0x3f0a11fULL;
 class QueryExecutor {
  public:
   /// `scheduler` (nullable, unowned, must outlive the executor) routes the
-  /// sampled grouped pipeline through the shared-scan batcher and its
-  /// pilot/result caches. Answers are bit-identical either way; the
-  /// scheduler only changes how the rows are fetched.
+  /// sampled grouped pipeline through its pilot/result caches and
+  /// single-flight. Answers are bit-identical either way; the scheduler
+  /// only decides whether the rows are sampled again.
   QueryExecutor(const storage::Catalog* catalog, core::IslaOptions base,
                 ScanScheduler* scheduler = nullptr)
       : catalog_(catalog), base_options_(base), scheduler_(scheduler) {}

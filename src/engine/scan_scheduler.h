@@ -8,8 +8,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -21,12 +19,6 @@ namespace isla {
 namespace engine {
 
 struct ScanSchedulerOptions {
-  /// How long the first query of a batch waits for co-travellers before
-  /// the shared scan starts. 0 disables admission batching (every query
-  /// runs its own pass; the caches still apply). Latency cost is paid only
-  /// by queries that end up leading a batch — joiners wait on the leader
-  /// regardless.
-  int64_t admission_window_micros = 2000;
   /// Reuse pilot (Pre-estimation) results across queries that share
   /// (column content, predicate, keys, seed, method salt, pilot size).
   bool enable_pilot_cache = true;
@@ -38,14 +30,14 @@ struct ScanSchedulerOptions {
 };
 
 /// Monitoring counters, surfaced through SHOW STATS. `rows_requested` is
-/// what the participants' standalone executions would have sampled
-/// (pilot + main scan, cache hits included); `rows_gathered` is what the
-/// shared passes actually gathered from the value column. Their ratio is
-/// the I/O amortization the batcher and caches bought.
+/// what every caller's standalone execution would have sampled (pilot +
+/// main scan, cache hits and joiners included); `rows_gathered` is what the
+/// scheduler's own runs actually sampled. Their ratio is the I/O the caches
+/// and single-flight saved.
 struct ScanSchedulerStats {
   uint64_t queries = 0;          // Execute() calls admitted
-  uint64_t shared_batches = 0;   // batches that ran with >= 2 members
-  uint64_t batched_queries = 0;  // members of those batches
+  uint64_t shared_batches = 0;   // in-flight runs that had >= 1 joiner
+  uint64_t batched_queries = 0;  // callers that joined an in-flight run
   uint64_t pilot_cache_hits = 0;
   uint64_t pilot_cache_misses = 0;
   uint64_t result_cache_hits = 0;
@@ -54,25 +46,19 @@ struct ScanSchedulerStats {
   uint64_t rows_requested = 0;
 };
 
-/// Coalesces concurrently admitted grouped queries over content-identical
-/// value columns into one sampling pass, and caches pilots and full
-/// results across repeated queries.
+/// A cache in front of core::GroupByEngine for grouped queries. Execute
+/// does, in order:
 ///
-/// The batching exploits two invariants of the grouped engine:
+///  1. a result-cache lookup — a hit returns the bytes of the original run;
+///  2. single-flight on the result key — a caller whose identical query is
+///     already running waits for that run and receives a copy of its bytes;
+///  3. a pilot-cache lookup — a hit skips Pre-estimation;
+///  4. GroupByEngine::Pilot (on a miss) and GroupByEngine::AggregateWithPilot;
+///  5. the cache inserts.
 ///
-///  1. Per-block RNG streams are position-derived —
-///     Hash(seed, salt ^ phase, j) — so every query over the same
-///     (column content, seed, salt) consumes the *same* stream, and
-///     GenerateUniformIndices draws sequentially, so the first k indices
-///     of a stream are a prefix of the first K >= k.
-///  2. RouteGroupedBatch folds survivors in row order, so feeding each
-///     participant exactly its own prefix of the shared draw reproduces
-///     its standalone accumulator Add sequence.
-///
-/// One shared pass therefore draws max-over-participants samples per block
-/// and routes each participant's prefix through its own predicate mask and
-/// accumulators: every answer is bit-identical to standalone execution by
-/// construction (the contract the differential suite pins).
+/// Every answer is bit-identical to GroupByEngine::Aggregate: the engine's
+/// per-block RNG streams make a run a pure function of the cache key, and
+/// answers do not depend on parallelism, which the keys leave out.
 ///
 /// Cache keys are built from column *content fingerprints*
 /// (storage::Column::ContentFingerprint), so entries from a dropped or
@@ -88,14 +74,13 @@ class ScanScheduler {
   ScanScheduler(const ScanScheduler&) = delete;
   ScanScheduler& operator=(const ScanScheduler&) = delete;
 
-  /// Runs one grouped aggregation, batching with any concurrently admitted
-  /// queries over a content-identical value column under the same
-  /// (seed, seed_salt). Semantics and result bytes are exactly
-  /// core::GroupByEngine(options).Aggregate(spec, seed_salt).
+  /// Runs one grouped aggregation through the caches. Semantics and result
+  /// bytes are exactly core::GroupByEngine(options).Aggregate(spec,
+  /// seed_salt). Sketch (want_sketch) and top-k specs are not part of the
+  /// cached shape and are refused with InvalidArgument; run them on the
+  /// engine directly.
   ///
-  /// The caller must keep `spec`'s columns alive until Execute returns
-  /// (sessions hold the table shared_ptr across the call, which also keeps
-  /// every co-batched participant's canonical columns valid).
+  /// The caller must keep `spec`'s columns alive until Execute returns.
   Result<core::GroupedAggregateResult> Execute(const core::GroupedSpec& spec,
                                                const core::IslaOptions& options,
                                                uint64_t seed_salt);
@@ -105,47 +90,31 @@ class ScanScheduler {
   /// Drops every cached pilot and result (tests; memory pressure).
   void ClearCaches();
 
-  const ScanSchedulerOptions& options() const { return options_; }
-
  private:
-  /// (value fingerprint, seed, method salt): everything that must agree for
-  /// two queries to consume the same per-block RNG streams.
-  using BatchKey = std::tuple<uint64_t, uint64_t, uint64_t>;
-
   /// Full execution identity; index semantics in MakeCacheKey. Pilot keys
   /// zero the precision/confidence/rate-scale slots (the pilot does not
   /// depend on them) and flip the kind tag.
   using CacheKey = std::array<uint64_t, 12>;
 
-  struct Participant;
-  struct Batch;
-  struct Exec;
+  /// One leader's run of a result key, awaited by its joiners.
+  struct Flight;
 
-  static CacheKey MakeCacheKey(const Participant& p, bool pilot);
+  static CacheKey MakeCacheKey(const core::GroupedSpec& spec,
+                               const core::IslaOptions& options,
+                               uint64_t seed_salt, bool pilot);
 
-  /// Runs every member of a closed batch: result-cache lookups, dedup into
-  /// distinct executions, shared pilot pass, per-execution planning, shared
-  /// main pass, summarization, cache inserts. Fills each member's result.
-  void RunBatch(std::vector<Participant*>& members);
-
-  /// One shared sampling pass (pilot or calc) over the active executions.
-  /// `alloc[e][j]` is execution e's standalone per-block allocation; each
-  /// block draws the max over executions and routes prefixes. Appends each
-  /// execution's merged partial into its `merged` member and accumulates
-  /// gathered-row stats.
-  Status SharedPass(std::vector<Exec*>& active, uint64_t seed, uint64_t salt,
-                    uint64_t phase_salt,
-                    const std::vector<std::vector<uint64_t>>& alloc,
-                    uint32_t parallelism,
-                    std::vector<core::GroupedBlockPartial*> merged_out,
-                    uint64_t* rows_gathered);
+  /// Steps 3-4 of Execute: pilot cache, then the engine's phases. Adds the
+  /// rows the run sampled to `*rows_gathered`.
+  Result<core::GroupedAggregateResult> Run(const core::GroupedSpec& spec,
+                                           const core::IslaOptions& options,
+                                           uint64_t seed_salt,
+                                           uint64_t* rows_gathered);
 
   ScanSchedulerOptions options_;
 
-  std::mutex mu_;  // guards open_ and batch membership/fan-out
-  std::map<BatchKey, std::shared_ptr<Batch>> open_;
-
-  mutable std::mutex cache_mu_;  // guards the two LRUs and stats_
+  mutable std::mutex mu_;  // guards the two LRUs, in_flight_ and stats_
+  std::condition_variable landed_;  // a Flight finished
+  std::map<CacheKey, std::shared_ptr<Flight>> in_flight_;
   using PilotLru = std::list<std::pair<CacheKey, core::GroupedPilot>>;
   using ResultLru =
       std::list<std::pair<CacheKey, core::GroupedAggregateResult>>;

@@ -493,8 +493,7 @@ Result<std::string> Session::ShowStats() const {
     return os.str();
   }
   ScanSchedulerStats s = scheduler_->stats();
-  os << "\nscan_scheduler = on (window="
-     << scheduler_->options().admission_window_micros << "us)"
+  os << "\nscan_scheduler = on"
      << "\nqueries = " << s.queries
      << "\nshared_batches = " << s.shared_batches
      << "\nbatched_queries = " << s.batched_queries

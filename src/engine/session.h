@@ -81,10 +81,10 @@ class Session {
   Result<std::string> Execute(std::string_view statement,
                               const PartialSink& sink);
 
-  /// Routes this session's sampled grouped queries through a shared scan
+  /// Routes this session's sampled grouped queries through a scan
   /// scheduler (nullable, unowned, must outlive the session). The query
-  /// server installs its process-wide scheduler here so concurrent
-  /// sessions batch their scans and share the pilot/result caches.
+  /// server installs its process-wide scheduler here so sessions share the
+  /// pilot/result caches and concurrent identical statements share a run.
   void set_scheduler(ScanScheduler* scheduler) { scheduler_ = scheduler; }
 
   /// Direct access for embedding (tests, tools).

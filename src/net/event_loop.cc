@@ -100,7 +100,6 @@ void EventLoop::DrainTasks() {
 }
 
 void EventLoop::Run(int64_t tick_millis) {
-  stop_.store(false, std::memory_order_relaxed);
   constexpr int kMaxEvents = 128;
   struct epoll_event events[kMaxEvents];
   int timeout = tick_millis > 0 && tick_millis <= INT32_MAX
@@ -134,6 +133,10 @@ void EventLoop::Run(int64_t tick_millis) {
   // session completion) is not silently dropped while the loop could
   // still run it.
   DrainTasks();
+  // Consume the stop request only on the way out: a Stop() that lands
+  // before this thread reaches Run (a server stopped right after Start)
+  // must still end this Run.
+  stop_.store(false, std::memory_order_relaxed);
 }
 
 void EventLoop::Stop() {

@@ -68,8 +68,9 @@ class EventLoop {
   /// and Post both wake the loop explicitly, the tick is belt-and-braces).
   void Run(int64_t tick_millis);
 
-  /// Makes Run return after the current dispatch round. Any thread.
-  /// Idempotent; a stopped loop can be Run again after Stop.
+  /// Makes Run return after the current dispatch round — or, when no Run
+  /// is in progress, makes the next Run return at once. Any thread.
+  /// Idempotent; a loop can be Run again once its Run has returned.
   void Stop();
 
   /// Registered fds (loop thread; monitoring/tests).

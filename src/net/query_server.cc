@@ -59,9 +59,9 @@ bool IsShowServerStats(std::string_view statement) {
 
 /// The statement-executor pool: plain threads, deliberately NOT
 /// runtime::ThreadPool — its workers mark themselves as pool workers,
-/// which would force the engine's nested ParallelFor inline and serialize
-/// every statement onto one core. Plain threads keep intra-statement
-/// parallelism intact.
+/// which would force the engine's nested ParallelFor inline. Sessions start
+/// at parallelism 1, so a statement runs on its exec thread; plain threads
+/// keep a session that SETs a higher parallelism able to fan out.
 class QueryServer::ExecPool {
  public:
   explicit ExecPool(unsigned threads) {

@@ -26,7 +26,14 @@ struct QueryServerOptions {
   uint16_t port = 0;
   /// Engine defaults each new session starts from; sessions then diverge
   /// via SET (per-session IslaOptions) without affecting each other.
-  core::IslaOptions session_defaults;
+  /// parallelism defaults to 1: a statement runs on its exec thread, and
+  /// the server's concurrency comes from running statements side by side
+  /// rather than from each one fanning out into the shared worker pool.
+  core::IslaOptions session_defaults = [] {
+    core::IslaOptions defaults;
+    defaults.parallelism = 1;
+    return defaults;
+  }();
   /// Concurrent session cap, enforced with an atomic reserve-then-accept
   /// (the slot is taken *before* admission is decided and rolled back on
   /// refusal, so concurrent accepts can never overshoot). Connections
@@ -36,11 +43,10 @@ struct QueryServerOptions {
   /// Safety tick for the event loops' epoll waits (wakeups are explicit;
   /// the tick only bounds how stale a missed wakeup could ever get).
   int64_t tick_millis = 250;
-  /// Shared-scan batcher settings: every session routes its sampled grouped
-  /// queries through one process-wide engine::ScanScheduler so concurrent
-  /// statements over content-identical tables coalesce into shared passes
-  /// and repeated statements hit the pilot/result caches. Answers are
-  /// bit-identical to standalone execution either way.
+  /// Cache settings: every session routes its sampled grouped queries
+  /// through one process-wide engine::ScanScheduler, so repeated statements
+  /// hit the pilot/result caches and concurrent identical statements share
+  /// one run. Answers are bit-identical to standalone execution either way.
   engine::ScanSchedulerOptions scheduler;
   /// Event-loop reactor threads. Each loop multiplexes its share of the
   /// sessions; 2 loops drive thousands of connections, so this stays small.

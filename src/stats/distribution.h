@@ -35,14 +35,14 @@ class Distribution {
   /// Human-readable name used in experiment logs.
   virtual std::string Name() const = 0;
 
-  /// Content identity for the scan scheduler's shared-scan batching and its
-  /// pilot/result caches: two distributions with equal non-zero fingerprints
-  /// must produce identical Sample(seed, i) streams. Implementations hash
-  /// their exact parameter bits — never the Name() text, whose default
-  /// stream formatting rounds to 6 significant digits and would alias
-  /// nearby parameters. Returning 0 opts out: blocks backed by such a
-  /// distribution are treated as unique and never share scans or cache
-  /// entries, the safe default for subclasses that do not override.
+  /// Content identity for the scan scheduler's pilot/result caches: two
+  /// distributions with equal non-zero fingerprints must produce identical
+  /// Sample(seed, i) streams. Implementations hash their exact parameter
+  /// bits — never the Name() text, whose default stream formatting rounds
+  /// to 6 significant digits and would alias nearby parameters. Returning 0
+  /// opts out: blocks backed by such a distribution are treated as unique
+  /// and never share cache entries, the safe default for subclasses that
+  /// do not override.
   virtual uint64_t Fingerprint() const { return 0; }
 };
 

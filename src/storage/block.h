@@ -58,7 +58,7 @@ class Block {
 
   /// Content identity for the scan scheduler (src/engine/scan_scheduler):
   /// two blocks with equal fingerprints MUST hold bit-identical rows, so
-  /// a shared scan may gather either and serve both, and cache entries
+  /// a pilot or result sampled from either serves both, and cache entries
   /// keyed on the fingerprint stay valid. Never returns 0. Deterministic
   /// sources override this with a content-derived hash (a generator block
   /// is a pure function of its distribution, size, and seed; a file block

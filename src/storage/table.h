@@ -35,8 +35,8 @@ class Column {
   /// Content identity of the whole column: the per-block fingerprints
   /// chained in block order (block structure included by construction).
   /// Equal fingerprints mean bit-identical rows in the same block layout,
-  /// so the scan scheduler may serve every holder from one shared gather
-  /// and cache pilots/results under the fingerprint. Never 0.
+  /// so the scan scheduler may cache pilots/results under the fingerprint
+  /// and serve every holder from one entry. Never 0.
   uint64_t ContentFingerprint() const;
 
  private:

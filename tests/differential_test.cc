@@ -400,11 +400,12 @@ TEST_F(DifferentialTest, UngroupedAvgTcpBitIdenticalToLoopbackAcrossSeeds) {
   }
 }
 
-// --- Shared-scan scheduler differentials: batched ≡ standalone ≡ cached ---
+// --- Scan scheduler differentials: batched ≡ standalone ≡ cached ---
 //
-// The scan scheduler's hard contract is that coalescing queries into a
-// shared pass — or answering them from the pilot/result caches — returns
-// exactly the bytes the standalone core::GroupByEngine execution would.
+// The scan scheduler's hard contract is that sharing one run among
+// concurrent identical queries — or answering them from the pilot/result
+// caches — returns exactly the bytes the standalone core::GroupByEngine
+// execution would.
 // 51 seeded queries (17 clause shapes × 3 method salts) sweep WHERE
 // operators, GROUP BY, and parallelism 1..3; every query is compared three
 // ways: standalone engine vs. a concurrent 4-way batched run vs. a
@@ -417,7 +418,6 @@ TEST_F(DifferentialTest, BatchedStandaloneCachedThreeWayBitIdentical) {
   ASSERT_GE(shapes.size() * 3, 50u);
 
   engine::ScanSchedulerOptions sched_options;
-  sched_options.admission_window_micros = 3000;
   engine::ScanScheduler scheduler(sched_options);
 
   int query = 0;
@@ -441,9 +441,9 @@ TEST_F(DifferentialTest, BatchedStandaloneCachedThreeWayBitIdentical) {
       ASSERT_TRUE(standalone.ok())
           << "query " << query << ": " << standalone.status();
 
-      // Batched: four concurrent identical submissions inside one admission
-      // window. Whether they coalesce into one batch or race into several,
-      // every answer must match the standalone bytes.
+      // Batched: four concurrent identical submissions. Whether they join
+      // one in-flight run, hit the cache, or race into several runs, every
+      // answer must match the standalone bytes.
       constexpr int kConcurrent = 4;
       std::vector<Result<core::GroupedAggregateResult>> batched(
           kConcurrent, Status::Internal("not run"));
@@ -476,21 +476,19 @@ TEST_F(DifferentialTest, BatchedStandaloneCachedThreeWayBitIdentical) {
 
   engine::ScanSchedulerStats stats = scheduler.stats();
   // Every query's serial re-run (at minimum) is a result-cache hit, and the
-  // shared passes must have gathered strictly less than the participants
-  // requested (the whole point of the batcher).
+  // scheduler's runs must have gathered strictly less than the callers
+  // requested (the whole point of the caches and single-flight).
   EXPECT_GE(stats.result_cache_hits, static_cast<uint64_t>(query));
   EXPECT_GT(stats.rows_requested, stats.rows_gathered);
 }
 
 TEST_F(DifferentialTest, MixedShapesBatchConcurrentlyBitIdentical) {
   // All 17 clause shapes submitted concurrently over the same value column:
-  // one admission window, heterogeneous predicates/keys/precisions, one
-  // shared pass sized for the weakest participant. Caches are disabled so
-  // the shared-scan fan-out itself (not a cache) must reproduce every
-  // standalone answer.
+  // heterogeneous predicates/keys/precisions running side by side on one
+  // scheduler. Caches are disabled so the concurrent runs themselves (not a
+  // cache) must reproduce every standalone answer.
   std::vector<QueryShape> shapes = Shapes();
   engine::ScanSchedulerOptions sched_options;
-  sched_options.admission_window_micros = 20'000;
   sched_options.enable_pilot_cache = false;
   sched_options.enable_result_cache = false;
   engine::ScanScheduler scheduler(sched_options);
@@ -553,7 +551,6 @@ TEST_F(DifferentialTest, RecreatedTableNeverServesStaleCacheEntries) {
   };
 
   engine::ScanSchedulerOptions sched_options;
-  sched_options.admission_window_micros = 0;  // caches only, no batching
   engine::ScanScheduler scheduler(sched_options);
   core::IslaOptions options;
   options.precision = 0.3;

@@ -659,10 +659,13 @@ TEST(QueryServer, ShowStatsSurfacesKernelTierAndCacheCounters) {
   EXPECT_NE(stats.find("scan_scheduler = on"), std::string::npos) << stats;
   EXPECT_NE(stats.find("result_cache_hits = 0"), std::string::npos) << stats;
 
-  // SHOW SETTINGS also reports the kernel tier and the stream knob.
+  // SHOW SETTINGS also reports the kernel tier and the stream knob, and
+  // server sessions start at parallelism 1 (a statement runs on its exec
+  // thread).
   std::string settings = client.Send("SHOW SETTINGS");
   EXPECT_NE(settings.find("kernels = "), std::string::npos) << settings;
   EXPECT_NE(settings.find("stream = 0"), std::string::npos) << settings;
+  EXPECT_NE(settings.find("parallelism = 1"), std::string::npos) << settings;
 
   // A repeated sampled grouped query flows through the shared scheduler:
   // the second run is a result-cache hit, visible in SHOW STATS.

@@ -1,15 +1,17 @@
-// Unit coverage of engine::ScanScheduler: admission-window coalescing,
-// pilot/result cache behavior, content-fingerprint keying (including the
-// cross-table generator-block positive case), and the stats counters the
-// query server surfaces through SHOW STATS. Bit-identity against the
-// standalone engine is pinned at scale by differential_test; here the
-// focus is the scheduler's own mechanics.
+// Unit coverage of engine::ScanScheduler: single-flight dedup of concurrent
+// identical queries, pilot/result cache behavior, content-fingerprint
+// keying (including the cross-table generator-block positive case), and the
+// stats counters the query server surfaces through SHOW STATS.
+// Bit-identity against the standalone engine is pinned at scale by
+// differential_test; here the focus is the scheduler's own mechanics.
 
 #include "engine/scan_scheduler.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -60,6 +62,39 @@ std::unique_ptr<storage::Column> GeneratorColumn(uint64_t seed) {
   return col;
 }
 
+/// A memory block whose gathers wait until `scheduler` reports
+/// `joiners` callers joined an in-flight run: a deterministic rendezvous
+/// that holds the first caller's run open until every other caller is
+/// waiting on it.
+class RendezvousBlock : public storage::Block {
+ public:
+  RendezvousBlock(std::vector<double> values, const ScanScheduler* scheduler,
+                  uint64_t joiners)
+      : values_(std::move(values)), scheduler_(scheduler), joiners_(joiners) {}
+
+  uint64_t size() const override { return values_.size(); }
+  double ValueAt(uint64_t index) const override { return values_[index]; }
+  Status GatherAt(std::span<const uint64_t> indices,
+                  double* out) const override {
+    while (scheduler_->stats().batched_queries < joiners_) {
+      std::this_thread::yield();
+    }
+    for (size_t i = 0; i < indices.size(); ++i) {
+      if (indices[i] >= values_.size()) {
+        return Status::OutOfRange("rendezvous gather index out of range");
+      }
+      out[i] = values_[indices[i]];
+    }
+    return Status::OK();
+  }
+  std::string DebugString() const override { return "rendezvous"; }
+
+ private:
+  std::vector<double> values_;
+  const ScanScheduler* scheduler_;
+  uint64_t joiners_;
+};
+
 void ExpectSameResult(const core::GroupedAggregateResult& a,
                       const core::GroupedAggregateResult& b) {
   ASSERT_EQ(a.groups.size(), b.groups.size());
@@ -79,7 +114,6 @@ TEST(ScanSchedulerTest, SoloExecutionMatchesStandaloneEngine) {
   spec.values = col.get();
 
   ScanSchedulerOptions sopts;
-  sopts.admission_window_micros = 0;
   sopts.enable_pilot_cache = false;
   sopts.enable_result_cache = false;
   ScanScheduler scheduler(sopts);
@@ -93,17 +127,27 @@ TEST(ScanSchedulerTest, SoloExecutionMatchesStandaloneEngine) {
 }
 
 TEST(ScanSchedulerTest, ConcurrentIdenticalQueriesCoalesceAndDedup) {
-  auto col = MemoryColumn(2);
-  core::GroupedSpec spec;
-  spec.values = col.get();
-
+  constexpr int kThreads = 8;
   ScanSchedulerOptions sopts;
-  sopts.admission_window_micros = 50'000;  // generous: threads must land in it
   sopts.enable_pilot_cache = false;
   sopts.enable_result_cache = false;
   ScanScheduler scheduler(sopts);
 
-  constexpr int kThreads = 8;
+  // The first caller's gathers block until the other seven have joined its
+  // run, so all eight share exactly one execution.
+  auto col = std::make_unique<storage::Column>("v");
+  Xoshiro256 rng(2);
+  for (int b = 0; b < 3; ++b) {
+    std::vector<double> vals(10'000);
+    for (auto& v : vals) v = 50.0 + 25.0 * rng.NextDouble();
+    ASSERT_TRUE(col->AppendBlock(std::make_shared<RendezvousBlock>(
+                                     std::move(vals), &scheduler,
+                                     kThreads - 1))
+                    .ok());
+  }
+  core::GroupedSpec spec;
+  spec.values = col.get();
+
   std::vector<Result<core::GroupedAggregateResult>> results(
       kThreads, Status::Internal("not run"));
   std::vector<std::thread> threads;
@@ -117,15 +161,33 @@ TEST(ScanSchedulerTest, ConcurrentIdenticalQueriesCoalesceAndDedup) {
     ASSERT_TRUE(results[t].ok()) << results[t].status();
     ExpectSameResult(*results[t], *results[0]);
   }
+  core::GroupByEngine engine(TestOptions());
+  auto want = engine.Aggregate(spec, 0);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ExpectSameResult(*results[0], *want);
 
   ScanSchedulerStats stats = scheduler.stats();
   EXPECT_EQ(stats.queries, static_cast<uint64_t>(kThreads));
-  // At least one batch must have coalesced >= 2 members, and identical
-  // queries dedup into one execution, so the shared passes gathered far
-  // fewer rows than eight standalone runs would have.
-  EXPECT_GE(stats.shared_batches, 1u);
-  EXPECT_GE(stats.batched_queries, 2u);
+  EXPECT_EQ(stats.shared_batches, 1u);
+  EXPECT_EQ(stats.batched_queries, static_cast<uint64_t>(kThreads - 1));
+  // One run served all eight callers.
   EXPECT_LT(stats.rows_gathered, stats.rows_requested);
+  EXPECT_EQ(stats.rows_gathered * kThreads, stats.rows_requested);
+}
+
+TEST(ScanSchedulerTest, SketchAndTopKSpecsAreRefused) {
+  auto col = MemoryColumn(6);
+  ScanScheduler scheduler;
+  core::GroupedSpec sketch;
+  sketch.values = col.get();
+  sketch.want_sketch = true;
+  EXPECT_EQ(scheduler.Execute(sketch, TestOptions(), 0).status().code(),
+            StatusCode::kInvalidArgument);
+  core::GroupedSpec top;
+  top.values = col.get();
+  top.summary.top_k = 3;
+  EXPECT_EQ(scheduler.Execute(top, TestOptions(), 0).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ScanSchedulerTest, ResultCacheHitsAndClearCaches) {
@@ -134,7 +196,6 @@ TEST(ScanSchedulerTest, ResultCacheHitsAndClearCaches) {
   spec.values = col.get();
 
   ScanSchedulerOptions sopts;
-  sopts.admission_window_micros = 0;
   ScanScheduler scheduler(sopts);
 
   auto first = scheduler.Execute(spec, TestOptions(), 0);
@@ -157,7 +218,6 @@ TEST(ScanSchedulerTest, PilotCacheServesAcrossPrecisionChanges) {
   spec.values = col.get();
 
   ScanSchedulerOptions sopts;
-  sopts.admission_window_micros = 0;
   sopts.enable_result_cache = false;  // isolate the pilot cache
   ScanScheduler scheduler(sopts);
 
@@ -192,7 +252,6 @@ TEST(ScanSchedulerTest, GeneratorColumnsShareCacheAcrossIncarnations) {
   spec_b.values = col_b.get();
 
   ScanSchedulerOptions sopts;
-  sopts.admission_window_micros = 0;
   ScanScheduler scheduler(sopts);
   auto first = scheduler.Execute(spec_a, TestOptions(), 0);
   ASSERT_TRUE(first.ok()) << first.status();
@@ -217,7 +276,6 @@ TEST(ScanSchedulerTest, DistinctSaltsAndSeedsNeverAlias) {
   spec.values = col.get();
 
   ScanSchedulerOptions sopts;
-  sopts.admission_window_micros = 0;
   ScanScheduler scheduler(sopts);
   auto base = scheduler.Execute(spec, TestOptions(), 0);
   ASSERT_TRUE(base.ok()) << base.status();
@@ -238,7 +296,6 @@ TEST(ScanSchedulerTest, DistinctSaltsAndSeedsNeverAlias) {
 
 TEST(ScanSchedulerTest, CacheCapacityEvictsLeastRecentlyUsed) {
   ScanSchedulerOptions sopts;
-  sopts.admission_window_micros = 0;
   sopts.cache_capacity = 2;
   ScanScheduler scheduler(sopts);
 

@@ -207,6 +207,33 @@ TEST(EventLoop, StopIsPromptWithoutPendingEvents) {
   EXPECT_LT(elapsed, 5'000);  // the eventfd wakeup, not the 60s tick
 }
 
+TEST(EventLoop, StopBeforeRunStillEndsRun) {
+  // A server stopped right after Start can call Stop() before its loop
+  // thread has entered Run; that Run must still return.
+  EventLoop loop;
+  ASSERT_TRUE(loop.Init().ok());
+  loop.Stop();
+  std::atomic<bool> returned{false};
+  std::thread runner([&] {
+    loop.Run(/*tick_millis=*/50);
+    returned.store(true);
+  });
+  EXPECT_TRUE(WaitFor([&] { return returned.load(); }, 5'000));
+  if (!returned.load()) loop.Stop();  // unstick the runner so join returns
+  runner.join();
+
+  // The stop request was consumed: the loop runs again until the next Stop.
+  returned.store(false);
+  std::thread again([&] {
+    loop.Run(/*tick_millis=*/50);
+    returned.store(true);
+  });
+  SleepMillis(20);
+  EXPECT_FALSE(returned.load());
+  loop.Stop();
+  again.join();
+}
+
 // ---------------------------------------------------------------------------
 // QueryServer admission control
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "runtime/kernels/kernels.h"
 #include "runtime/parallel_for.h"
@@ -70,6 +71,12 @@ runtime::kernels::CmpOp ToCmpOp(PredicateOp op) {
   return static_cast<runtime::kernels::CmpOp>(op);
 }
 
+Status TooManyGroups() {
+  return Status::ResourceExhausted("GROUP BY produced more than " +
+                                   std::to_string(kMaxGroups) +
+                                   " distinct keys");
+}
+
 }  // namespace
 
 void EvalPredicateMask(PredicateOp op, std::span<const double> lhs,
@@ -87,11 +94,7 @@ Status GroupedBlockPartial::Merge(const GroupedBlockPartial& other) {
   all.Merge(other.all);
   for (const auto& [key, moments] : other.groups) {
     groups[key].Merge(moments);
-    if (groups.size() > kMaxGroups) {
-      return Status::ResourceExhausted(
-          "GROUP BY produced more than " + std::to_string(kMaxGroups) +
-          " distinct keys");
-    }
+    if (groups.size() > kMaxGroups) return TooManyGroups();
   }
   // Sketches merge in the same deterministic (key-ascending, partial-order)
   // sequence as the moments, preserving bit identity at any parallelism.
@@ -138,18 +141,8 @@ Status RouteGroupedRow(const double* pred, PredicateOp op, double literal,
   if (all != nullptr) all->Add(value);
   (*groups)[group_key].Add(value);
   if (sketches != nullptr) (*sketches)[group_key].Add(value);
-  if (groups->size() > kMaxGroups) {
-    return Status::ResourceExhausted(
-        "GROUP BY produced more than " + std::to_string(kMaxGroups) +
-        " distinct keys");
-  }
+  if (groups->size() > kMaxGroups) return TooManyGroups();
   return Status::OK();
-}
-
-Status RouteGroupedBatch(std::span<const double> values, const uint8_t* mask,
-                         const double* keys, GroupMoments* all,
-                         GroupMap* groups) {
-  return RouteGroupedBatch(values, mask, keys, all, groups, nullptr);
 }
 
 Status RouteGroupedBatch(std::span<const double> values, const uint8_t* mask,
@@ -193,11 +186,7 @@ Status RouteGroupedBatch(std::span<const double> values, const uint8_t* mask,
     if (all != nullptr) all->Add(v[i]);
     (*groups)[group_key].Add(v[i]);
     if (sketches != nullptr) (*sketches)[group_key].Add(v[i]);
-    if (groups->size() > kMaxGroups) {
-      return Status::ResourceExhausted(
-          "GROUP BY produced more than " + std::to_string(kMaxGroups) +
-          " distinct keys");
-    }
+    if (groups->size() > kMaxGroups) return TooManyGroups();
   }
   return Status::OK();
 }
@@ -275,6 +264,20 @@ Status RunGroupedBlockPass(const storage::Block& values,
   }
   out->scanned += sample_count;
   return Status::OK();
+}
+
+Status ScanGroupedShard(const storage::Block& values,
+                        const storage::Block* predicate_block, PredicateOp op,
+                        double literal, const storage::Block* key_block,
+                        uint64_t shard, uint64_t stream_seed,
+                        uint64_t sample_count, bool want_sketch,
+                        runtime::ScratchArena* scratch,
+                        GroupedBlockPartial* out) {
+  out->block_rows = values.size();
+  if (sample_count == 0) return Status::OK();
+  Xoshiro256 rng(SplitMix64::Hash(stream_seed, shard));
+  return RunGroupedBlockPass(values, predicate_block, op, literal, key_block,
+                             sample_count, &rng, out, scratch, want_sketch);
 }
 
 Result<uint64_t> PlanGroupedScan(const GroupedPilot& pilot,
@@ -428,33 +431,31 @@ void ApplyTopK(uint64_t top_k, GroupedAggregateResult* result) {
   result->groups.resize(top_k);
 }
 
-Status GroupByEngine::RunPhase(const GroupedSpec& spec, uint64_t seed_salt,
-                               uint64_t phase_salt, uint64_t sample_count,
-                               bool want_sketch,
-                               GroupedBlockPartial* merged) const {
-  const storage::Column& values = *spec.values;
-  const size_t num_blocks = values.num_blocks();
-  std::vector<uint64_t> sizes;
-  sizes.reserve(num_blocks);
-  for (const auto& b : values.blocks()) sizes.push_back(b->size());
-  const std::vector<uint64_t> alloc =
-      sampling::ProportionalAllocation(sizes, sample_count);
+namespace {
 
-  auto block_of = [](const storage::Column* col, size_t j) {
-    return col == nullptr ? nullptr : col->blocks()[j].get();
-  };
-  std::vector<GroupedBlockPartial> partials(num_blocks);
-  ISLA_RETURN_NOT_OK(runtime::ParallelFor(
-      num_blocks, options_.parallelism, [&](uint64_t j) -> Status {
-        Xoshiro256 rng(
-            SplitMix64::Hash(options_.seed, seed_salt ^ phase_salt, j));
-        runtime::ScratchPool::Lease lease;
-        if (scratch_ != nullptr) lease = scratch_->Acquire();
-        return RunGroupedBlockPass(*values.blocks()[j],
-                                   block_of(spec.predicate, j), spec.op,
-                                   spec.literal, block_of(spec.keys, j),
-                                   alloc[j], &rng, &partials[j], lease.get(),
-                                   want_sketch);
+// Domain-separation salts of the two grouped phases: shard j of a phase
+// samples on Hash(Hash(seed, seed_salt ^ phase_salt), j).
+constexpr uint64_t kGroupPilotSalt = 0x6b70110ULL;
+constexpr uint64_t kGroupCalcSalt = 0x6bca1cULL;
+
+/// One phase: `sample_count` rows allocated proportionally over the shards,
+/// every shard scanned on its own stream, partials merged into `merged` in
+/// shard order — so the merge, and the answer, never depend on the
+/// schedule.
+Status RunGroupedPhase(const GroupedShards& shards, const IslaOptions& options,
+                       uint64_t seed_salt, uint64_t phase_salt,
+                       uint64_t sample_count, bool want_sketch,
+                       GroupedBlockPartial* merged) {
+  const uint64_t stream_seed =
+      SplitMix64::Hash(options.seed, seed_salt ^ phase_salt);
+  const std::vector<uint64_t> alloc =
+      sampling::ProportionalAllocation(shards.rows, sample_count);
+  std::vector<GroupedBlockPartial> partials(shards.rows.size());
+  ISLA_RETURN_NOT_OK(runtime::ParallelForUntilFailure(
+      partials.size(), options.parallelism, [&](uint64_t j) -> Status {
+        ISLA_ASSIGN_OR_RETURN(
+            partials[j], shards.scan(j, stream_seed, alloc[j], want_sketch));
+        return Status::OK();
       }));
   for (const GroupedBlockPartial& partial : partials) {
     ISLA_RETURN_NOT_OK(merged->Merge(partial));
@@ -462,15 +463,21 @@ Status GroupByEngine::RunPhase(const GroupedSpec& spec, uint64_t seed_salt,
   return Status::OK();
 }
 
-Result<GroupedPilot> GroupByEngine::Pilot(const GroupedSpec& spec,
-                                          uint64_t seed_salt) const {
-  ISLA_RETURN_NOT_OK(options_.Validate());
-  ISLA_RETURN_NOT_OK(ValidateGroupedSpec(spec));
+uint64_t TotalRows(const GroupedShards& shards) {
+  return std::accumulate(shards.rows.begin(), shards.rows.end(), uint64_t{0});
+}
+
+}  // namespace
+
+Result<GroupedPilot> RunGroupedPilot(const GroupedShards& shards,
+                                     const IslaOptions& options,
+                                     uint64_t seed_salt) {
   const uint64_t pilot_size =
-      std::min<uint64_t>(options_.sigma_pilot_size, spec.values->num_rows());
+      std::min<uint64_t>(options.sigma_pilot_size, TotalRows(shards));
   GroupedBlockPartial merged;
-  ISLA_RETURN_NOT_OK(RunPhase(spec, seed_salt, kGroupPilotSalt, pilot_size,
-                              /*want_sketch=*/false, &merged));
+  ISLA_RETURN_NOT_OK(RunGroupedPhase(shards, options, seed_salt,
+                                     kGroupPilotSalt, pilot_size,
+                                     /*want_sketch=*/false, &merged));
   GroupedPilot pilot;
   pilot.pilot_samples = merged.scanned;
   pilot.all = merged.all;
@@ -478,35 +485,70 @@ Result<GroupedPilot> GroupByEngine::Pilot(const GroupedSpec& spec,
   return pilot;
 }
 
+Result<GroupedAggregateResult> RunGroupedAggregate(
+    const GroupedShards& shards, const GroupedPilot& pilot,
+    const IslaOptions& options, uint64_t seed_salt, bool want_sketch,
+    const QuantileSummarySpec& summary) {
+  const uint64_t data_size = TotalRows(shards);
+
+  // --- Calculation: one shared scan sized for the weakest group ---
+  ISLA_ASSIGN_OR_RETURN(
+      uint64_t scan, PlanGroupedScan(pilot, options, data_size, want_sketch));
+  GroupedBlockPartial merged;
+  if (scan > 0) {
+    ISLA_RETURN_NOT_OK(RunGroupedPhase(shards, options, seed_salt,
+                                       kGroupCalcSalt, scan, want_sketch,
+                                       &merged));
+  }
+
+  // --- Summarization: per-group answers + (e, β) contracts ---
+  ISLA_ASSIGN_OR_RETURN(GroupedAggregateResult result,
+                        SummarizeGroups(merged.groups, data_size,
+                                        merged.scanned, pilot.pilot_samples,
+                                        options));
+  if (want_sketch) {
+    ISLA_RETURN_NOT_OK(ApplyQuantileSummary(merged.sketches, summary, options,
+                                            /*sampled=*/true, &result));
+  }
+  ApplyTopK(summary.top_k, &result);
+  return result;
+}
+
+GroupedShards GroupByEngine::Shards(const GroupedSpec& spec) const {
+  GroupedShards shards;
+  for (const auto& b : spec.values->blocks()) shards.rows.push_back(b->size());
+  shards.scan = [this, &spec](uint64_t j, uint64_t stream_seed,
+                              uint64_t sample_count, bool want_sketch)
+      -> Result<GroupedBlockPartial> {
+    auto block_of = [j](const storage::Column* col) {
+      return col == nullptr ? nullptr : col->blocks()[j].get();
+    };
+    runtime::ScratchPool::Lease lease;
+    if (scratch_ != nullptr) lease = scratch_->Acquire();
+    GroupedBlockPartial partial;
+    ISLA_RETURN_NOT_OK(ScanGroupedShard(
+        *spec.values->blocks()[j], block_of(spec.predicate), spec.op,
+        spec.literal, block_of(spec.keys), j, stream_seed, sample_count,
+        want_sketch, lease.get(), &partial));
+    return partial;
+  };
+  return shards;
+}
+
+Result<GroupedPilot> GroupByEngine::Pilot(const GroupedSpec& spec,
+                                          uint64_t seed_salt) const {
+  ISLA_RETURN_NOT_OK(options_.Validate());
+  ISLA_RETURN_NOT_OK(ValidateGroupedSpec(spec));
+  return RunGroupedPilot(Shards(spec), options_, seed_salt);
+}
+
 Result<GroupedAggregateResult> GroupByEngine::AggregateWithPilot(
     const GroupedSpec& spec, const GroupedPilot& pilot,
     uint64_t seed_salt) const {
   ISLA_RETURN_NOT_OK(options_.Validate());
   ISLA_RETURN_NOT_OK(ValidateGroupedSpec(spec));
-  const uint64_t num_rows = spec.values->num_rows();
-
-  // --- Calculation: one shared scan sized for the weakest group ---
-  ISLA_ASSIGN_OR_RETURN(
-      uint64_t scan,
-      PlanGroupedScan(pilot, options_, num_rows, spec.want_sketch));
-  GroupedBlockPartial main_merged;
-  if (scan > 0) {
-    ISLA_RETURN_NOT_OK(RunPhase(spec, seed_salt, kGroupCalcSalt, scan,
-                                spec.want_sketch, &main_merged));
-  }
-
-  // --- Summarization: per-group answers + (e, β) contracts ---
-  ISLA_ASSIGN_OR_RETURN(
-      GroupedAggregateResult result,
-      SummarizeGroups(main_merged.groups, num_rows, main_merged.scanned,
-                      pilot.pilot_samples, options_));
-  if (spec.want_sketch) {
-    ISLA_RETURN_NOT_OK(ApplyQuantileSummary(main_merged.sketches,
-                                            spec.summary, options_,
-                                            /*sampled=*/true, &result));
-  }
-  ApplyTopK(spec.summary.top_k, &result);
-  return result;
+  return RunGroupedAggregate(Shards(spec), pilot, options_, seed_salt,
+                             spec.want_sketch, spec.summary);
 }
 
 Result<GroupedAggregateResult> GroupByEngine::Aggregate(

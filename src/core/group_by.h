@@ -2,6 +2,7 @@
 #define ISLA_CORE_GROUP_BY_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <span>
 #include <string_view>
@@ -11,6 +12,7 @@
 #include "common/status.h"
 #include "core/options.h"
 #include "runtime/scratch_arena.h"
+#include "stats/moments.h"
 #include "stats/sketch.h"
 #include "storage/table.h"
 #include "util/rng.h"
@@ -37,45 +39,10 @@ bool EvalPredicate(PredicateOp op, double lhs, double rhs);
 void EvalPredicateMask(PredicateOp op, std::span<const double> lhs,
                        double rhs, uint8_t* mask);
 
-/// Reduced mergeable moments of one group: Welford's (n, mean, M2). Unlike
-/// stats::StreamingMoments this carries no compensated power sums, so the
-/// exact same state crosses the distributed wire — merging decoded partials
-/// is bit-identical to merging local ones.
-struct GroupMoments {
-  uint64_t n = 0;
-  double mean = 0.0;
-  double m2 = 0.0;  // Welford sum of squared deviations
-
-  void Add(double v) {
-    ++n;
-    double delta = v - mean;
-    mean += delta / static_cast<double>(n);
-    m2 += delta * (v - mean);
-  }
-
-  /// Chan's parallel combination. Merge order must be deterministic (block
-  /// order) for bit-identical results.
-  void Merge(const GroupMoments& other) {
-    if (other.n == 0) return;
-    if (n == 0) {
-      *this = other;
-      return;
-    }
-    double na = static_cast<double>(n);
-    double nb = static_cast<double>(other.n);
-    double delta = other.mean - mean;
-    mean += delta * nb / (na + nb);
-    m2 += other.m2 + delta * delta * na * nb / (na + nb);
-    n += other.n;
-  }
-
-  /// Unbiased sample variance; 0 when n < 2.
-  double Variance() const {
-    if (n < 2) return 0.0;
-    double var = m2 / static_cast<double>(n - 1);
-    return var < 0.0 ? 0.0 : var;
-  }
-};
+/// Reduced mergeable moments of one group. The same state crosses the
+/// distributed wire, so merging decoded partials is bit-identical to
+/// merging local ones.
+using GroupMoments = stats::WelfordMoments;
 
 /// Keys are the raw doubles of the GROUP BY column, compared exactly; the
 /// ordered map makes every merge and summarization iteration deterministic.
@@ -138,25 +105,18 @@ Status RouteGroupedRow(const double* pred, PredicateOp op, double literal,
                        const double* key, double value, GroupMoments* all,
                        GroupMap* groups, SketchMap* sketches = nullptr);
 
-/// Batch form of the router consumed by both the sampler and the exact
-/// full scan: rows with mask[i] == 0 are skipped (pass mask == nullptr for
-/// "no predicate"), NaN group keys are dropped (keys == nullptr means the
-/// single implicit group), and surviving values fold into `all` (nullable)
-/// and their group. Row i of every span refers to the same sampled row.
-/// Identical semantics to RouteGroupedRow with the predicate pre-evaluated
-/// into the mask. Returns ResourceExhausted past kMaxGroups.
+/// Batch form of RouteGroupedRow, shared by the sampler and the exact full
+/// scan: rows with mask[i] == 0 are skipped (mask == nullptr: no
+/// predicate), NaN keys are dropped (keys == nullptr: one implicit group),
+/// and survivors fold into `all` (nullable), their group and, when
+/// `sketches` is non-null, their group's sketch. A non-null `scratch` runs
+/// the filtering through the SIMD compaction kernels first; survivors fold
+/// in the same order, so the result is bit-identical either way. Returns
+/// ResourceExhausted past kMaxGroups.
 Status RouteGroupedBatch(std::span<const double> values, const uint8_t* mask,
                          const double* keys, GroupMoments* all,
-                         GroupMap* groups);
-
-/// Kernel-accelerated router: identical semantics (and bit-identical
-/// accumulator results — survivors fold in the same order) to the overload
-/// above, but the predicate-mask and NaN-key filtering runs through the
-/// SIMD compaction kernels into `scratch`'s compact buffers before the
-/// scalar accumulator walk. A null `scratch` falls back to the row loop.
-Status RouteGroupedBatch(std::span<const double> values, const uint8_t* mask,
-                         const double* keys, GroupMoments* all,
-                         GroupMap* groups, runtime::ScratchArena* scratch,
+                         GroupMap* groups,
+                         runtime::ScratchArena* scratch = nullptr,
                          SketchMap* sketches = nullptr);
 
 /// Samples `sample_count` rows with replacement from one block shard (the
@@ -174,6 +134,19 @@ Status RunGroupedBlockPass(const storage::Block& values,
                            GroupedBlockPartial* out,
                            runtime::ScratchArena* scratch = nullptr,
                            bool want_sketch = false);
+
+/// Shard `shard`'s share of one grouped phase: `sample_count` rows drawn by
+/// RunGroupedBlockPass on the stream Hash(stream_seed, shard). The single
+/// definition of the per-shard stream, shared by the in-process scan and
+/// the distributed worker, so both replay the same rows. Always records
+/// the shard's row count; a zero `sample_count` draws nothing.
+Status ScanGroupedShard(const storage::Block& values,
+                        const storage::Block* predicate_block, PredicateOp op,
+                        double literal, const storage::Block* key_block,
+                        uint64_t shard, uint64_t stream_seed,
+                        uint64_t sample_count, bool want_sketch,
+                        runtime::ScratchArena* scratch,
+                        GroupedBlockPartial* out);
 
 /// The merged pilot of a grouped query, input to scan planning.
 struct GroupedPilot {
@@ -263,15 +236,47 @@ Status ApplyQuantileSummary(const SketchMap& sketches,
 /// the pre-cut count either way.
 void ApplyTopK(uint64_t top_k, GroupedAggregateResult* result);
 
+/// What the grouped pipeline needs to know about a sharded table: per-shard
+/// row counts and one scan call. `scan(shard, stream_seed, sample_count,
+/// want_sketch)` returns shard `shard`'s partial of `sample_count` rows on
+/// the stream Hash(stream_seed, shard) (ScanGroupedShard), with per-group
+/// sketches when `want_sketch`. It must be safe to call concurrently for
+/// different shards. The local engine scans in-process blocks; the
+/// distributed coordinator crosses a Transport.
+struct GroupedShards {
+  std::vector<uint64_t> rows;
+  std::function<Result<GroupedBlockPartial>(uint64_t shard,
+                                            uint64_t stream_seed,
+                                            uint64_t sample_count,
+                                            bool want_sketch)>
+      scan;
+};
+
+/// Pre-estimation: min(options.sigma_pilot_size, M) rows allocated over the
+/// shards proportionally to their rows, shards fanned out across
+/// options.parallelism threads (shards above a failed one are skipped),
+/// partials merged in shard order. Never folds sketches.
+Result<GroupedPilot> RunGroupedPilot(const GroupedShards& shards,
+                                     const IslaOptions& options,
+                                     uint64_t seed_salt);
+
+/// Calculation + Summarization: PlanGroupedScan on `pilot`, the shared scan
+/// fanned out and merged like the pilot, then SummarizeGroups →
+/// ApplyQuantileSummary (when `want_sketch`) → ApplyTopK.
+Result<GroupedAggregateResult> RunGroupedAggregate(
+    const GroupedShards& shards, const GroupedPilot& pilot,
+    const IslaOptions& options, uint64_t seed_salt, bool want_sketch,
+    const QuantileSummarySpec& summary);
+
 /// Grouped online aggregation: Pre-estimation (shared grouped pilot) →
 /// Calculation (one shared scan, predicate evaluated on gathered batches,
 /// matching rows routed to per-group accumulators) → Summarization (merge in
 /// block order, per-group (e, β) contracts + COUNT estimates).
 ///
-/// All sampling runs per block on an independent RNG stream derived as
-/// SplitMix64::Hash(seed, salt, block_index), so the answer is bit-identical
-/// for any options().parallelism — and for the distributed execution path,
-/// which replays the same streams shard by shard.
+/// Each block is one shard of RunGroupedPilot/RunGroupedAggregate, sampled
+/// on its own stream, so the answer is bit-identical for any
+/// options().parallelism — and to distributed::Coordinator::AggregateGrouped,
+/// which runs the same two calls over shards behind a Transport.
 class GroupByEngine {
  public:
   /// `scratch` (nullable, unowned, must outlive the engine) supplies
@@ -305,23 +310,12 @@ class GroupByEngine {
       uint64_t seed_salt = 0) const;
 
  private:
-  /// One phase: `sample_count` rows allocated proportionally over the
-  /// blocks, each block sampled on its independent
-  /// Hash(seed, seed_salt ^ phase_salt, j) stream, partials merged into
-  /// `merged` in block order.
-  Status RunPhase(const GroupedSpec& spec, uint64_t seed_salt,
-                  uint64_t phase_salt, uint64_t sample_count,
-                  bool want_sketch, GroupedBlockPartial* merged) const;
+  /// The spec's blocks as the pipeline's shards, scanned in-process.
+  GroupedShards Shards(const GroupedSpec& spec) const;
 
   IslaOptions options_;
   runtime::ScratchPool* scratch_;
 };
-
-/// Domain-separation salts of the two grouped phases. Public because the
-/// distributed coordinator derives the identical per-shard streams:
-/// stream seed of block j = Hash(Hash(seed, salt ^ phase_salt), j).
-inline constexpr uint64_t kGroupPilotSalt = 0x6b70110ULL;
-inline constexpr uint64_t kGroupCalcSalt = 0x6bca1cULL;
 
 }  // namespace core
 }  // namespace isla

@@ -1,7 +1,6 @@
 #include "distributed/coordinator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -9,6 +8,7 @@
 #include "runtime/parallel_for.h"
 #include "sampling/samplers.h"
 #include "stats/confidence.h"
+#include "stats/moments.h"
 #include "util/rng.h"
 
 namespace isla {
@@ -45,9 +45,7 @@ Result<DistributedResult> Coordinator::AggregateAvg(uint64_t query_id) {
   pilot_req.seed = SplitMix64::Hash(options_.seed, query_id);
 
   std::vector<uint64_t> shard_rows(n_workers, 0);
-  double pooled_mean = 0.0;
-  double pooled_m2 = 0.0;
-  uint64_t pooled_n = 0;
+  stats::WelfordMoments pooled;
   double min_value = std::numeric_limits<double>::infinity();
   uint64_t data_size = 0;
 
@@ -56,38 +54,25 @@ Result<DistributedResult> Coordinator::AggregateAvg(uint64_t query_id) {
                           transport_->Call(w, Encode(pilot_req)));
     ISLA_ASSIGN_OR_RETURN(PilotResponse resp,
                           DecodePilotResponse(resp_frame));
-    if (resp.query_id != query_id) {
-      return Status::Internal("pilot response for wrong query");
+    if (resp.query_id != query_id || resp.worker_id != w) {
+      return Status::Internal("pilot response for wrong query or worker");
     }
     shard_rows[w] = resp.block_rows;
     data_size += resp.block_rows;
     min_value = std::min(min_value, resp.min_value);
-    // Chan merge of (count, mean, m2).
-    if (resp.count > 0) {
-      double na = static_cast<double>(pooled_n);
-      double nb = static_cast<double>(resp.count);
-      double delta = resp.mean - pooled_mean;
-      if (pooled_n == 0) {
-        pooled_mean = resp.mean;
-        pooled_m2 = resp.m2;
-      } else {
-        pooled_mean += delta * nb / (na + nb);
-        pooled_m2 += resp.m2 + delta * delta * na * nb / (na + nb);
-      }
-      pooled_n += resp.count;
-    }
+    pooled.Merge({resp.count, resp.mean, resp.m2});
   }
-  if (pooled_n < 2 || data_size == 0) {
+  if (pooled.n < 2 || data_size == 0) {
     return Status::FailedPrecondition("pilot returned too little data");
   }
-  double sigma = std::sqrt(pooled_m2 / static_cast<double>(pooled_n - 1));
+  double sigma = std::sqrt(pooled.Variance());
 
   DistributedResult out;
   out.data_size = data_size;
   out.sigma_estimate = sigma;
   if (!(sigma > 0.0)) {
-    out.average = pooled_mean;
-    out.sketch0 = pooled_mean;
+    out.average = pooled.mean;
+    out.sketch0 = pooled.mean;
     out.sum = out.average * static_cast<double>(data_size);
     out.failover = transport_->failover_snapshot();
     return out;
@@ -114,6 +99,10 @@ Result<DistributedResult> Coordinator::AggregateAvg(uint64_t query_id) {
                           transport_->Call(w, Encode(req)));
     ISLA_ASSIGN_OR_RETURN(PilotResponse resp,
                           DecodePilotResponse(resp_frame));
+    if (resp.query_id != query_id || resp.worker_id != w) {
+      return Status::Internal(
+          "sketch pilot response for wrong query or worker");
+    }
     sketch_weighted += resp.mean * static_cast<double>(resp.count);
     sketch_n += resp.count;
     min_value = std::min(min_value, resp.min_value);
@@ -156,33 +145,14 @@ Result<DistributedResult> Coordinator::AggregateAvg(uint64_t query_id) {
     ISLA_ASSIGN_OR_RETURN(std::string resp_frame,
                           transport_->Call(w, Encode(plan)));
     ISLA_ASSIGN_OR_RETURN(partials[w], DecodePartialResult(resp_frame));
-    if (partials[w].query_id != query_id) {
-      return Status::Internal("partial result for wrong query");
+    if (partials[w].query_id != query_id || partials[w].worker_id != w) {
+      return Status::Internal("partial result for wrong query or worker");
     }
     return Status::OK();
   };
-  // ParallelFor runs every iteration even after a failure, but the whole
-  // round is discarded on any error — so shards above a failed one are
-  // skipped instead of paying for their full sampling pass. Skipping only
-  // *higher* indices keeps the reported error deterministic: the
-  // smallest-index failing shard is never skipped (a skip would need an
-  // even smaller failure), so ParallelFor's smallest-failing-index rule
-  // still yields the same error no matter how the schedule interleaves.
-  std::atomic<uint64_t> first_failed{std::numeric_limits<uint64_t>::max()};
-  ISLA_RETURN_NOT_OK(runtime::ParallelFor(
-      n_workers, options_.parallelism, [&](uint64_t w) -> Status {
-        if (first_failed.load(std::memory_order_relaxed) < w) {
-          return Status::OK();
-        }
-        Status s = run_shard(w);
-        if (!s.ok()) {
-          uint64_t seen = first_failed.load(std::memory_order_relaxed);
-          while (w < seen && !first_failed.compare_exchange_weak(
-                                 seen, w, std::memory_order_relaxed)) {
-          }
-        }
-        return s;
-      }));
+  ISLA_RETURN_NOT_OK(
+      runtime::ParallelForUntilFailure(n_workers, options_.parallelism,
+                                       run_shard));
 
   std::vector<double> partial_avgs;
   std::vector<uint64_t> partial_rows;
@@ -216,128 +186,58 @@ Result<core::GroupedAggregateResult> Coordinator::AggregateGrouped(
   base.literal = spec.literal;
   base.has_group = spec.has_group ? 1 : 0;
 
-  // Runs one phase: per-worker requests fanned out across
-  // options_.parallelism threads, responses merged in worker order — the
-  // same deterministic merge the local engine performs in block order.
-  // (Skip-above-first-failure as in AggregateAvg's plan round.) With
-  // `want_sketch`, the phase speaks the sketch frames instead and the
-  // merged partial carries per-group quantile sketches.
-  auto run_phase = [&](uint64_t stream_seed,
-                       const std::vector<uint64_t>& alloc, bool want_sketch,
-                       core::GroupedBlockPartial* merged) -> Status {
-    std::vector<core::GroupedBlockPartial> partials(n_workers);
-    std::atomic<uint64_t> first_failed{std::numeric_limits<uint64_t>::max()};
-    ISLA_RETURN_NOT_OK(runtime::ParallelFor(
-        n_workers, options_.parallelism, [&](uint64_t w) -> Status {
-          if (first_failed.load(std::memory_order_relaxed) < w) {
-            return Status::OK();
-          }
-          auto run_worker = [&]() -> Status {
-            GroupedScanRequest req = base;
-            req.sample_count = alloc[w];
-            req.stream_seed = stream_seed;
-            const std::string req_frame =
-                want_sketch ? Encode(SketchScanRequest{req}) : Encode(req);
-            ISLA_ASSIGN_OR_RETURN(std::string resp_frame,
-                                  transport_->Call(w, req_frame));
-            uint64_t resp_query = 0, resp_worker = 0;
-            if (want_sketch) {
-              ISLA_ASSIGN_OR_RETURN(SketchScanResponse resp,
-                                    DecodeSketchScanResponse(resp_frame));
-              resp_query = resp.query_id;
-              resp_worker = resp.worker_id;
-              partials[w] = std::move(resp.partial);
-            } else {
-              ISLA_ASSIGN_OR_RETURN(GroupedScanResponse resp,
-                                    DecodeGroupedScanResponse(resp_frame));
-              resp_query = resp.query_id;
-              resp_worker = resp.worker_id;
-              partials[w] = std::move(resp.partial);
-            }
-            if (resp_query != query_id || resp_worker != w) {
-              return Status::Internal(
-                  "grouped response for wrong query or worker");
-            }
-            return Status::OK();
-          };
-          Status s = run_worker();
-          if (!s.ok()) {
-            uint64_t seen = first_failed.load(std::memory_order_relaxed);
-            while (w < seen && !first_failed.compare_exchange_weak(
-                                   seen, w, std::memory_order_relaxed)) {
-            }
-          }
-          return s;
-        }));
-    for (const core::GroupedBlockPartial& partial : partials) {
-      ISLA_RETURN_NOT_OK(merged->Merge(partial));
-    }
-    return Status::OK();
-  };
-
-  // --- Phase 0: shard metadata (sample_count = 0 draws nothing), giving
-  // the per-shard row counts that drive proportional allocation. ---
-  std::vector<uint64_t> shard_rows;
-  shard_rows.reserve(n_workers);
+  // --- Shard metadata (sample_count = 0 draws nothing), giving the
+  // per-shard row counts that drive proportional allocation. ---
+  core::GroupedShards shards;
   uint64_t data_size = 0;
   for (uint64_t w = 0; w < n_workers; ++w) {
-    GroupedScanRequest req = base;
-    req.sample_count = 0;
     ISLA_ASSIGN_OR_RETURN(std::string resp_frame,
-                          transport_->Call(w, Encode(req)));
+                          transport_->Call(w, Encode(base)));
     ISLA_ASSIGN_OR_RETURN(GroupedScanResponse resp,
                           DecodeGroupedScanResponse(resp_frame));
     if (resp.query_id != query_id || resp.worker_id != w) {
       return Status::Internal(
           "shard metadata response for wrong query or worker");
     }
-    shard_rows.push_back(resp.partial.block_rows);
+    shards.rows.push_back(resp.partial.block_rows);
     data_size += resp.partial.block_rows;
   }
   if (data_size == 0) {
     return Status::FailedPrecondition("workers hold no rows");
   }
 
-  // --- Phase 1: grouped pilot on the per-block pilot streams. The pilot
-  // never folds sketches — exactly like the local engine's pilot phase. ---
-  const uint64_t pilot_size =
-      std::min<uint64_t>(options_.sigma_pilot_size, data_size);
-  core::GroupedBlockPartial pilot_merged;
-  ISLA_RETURN_NOT_OK(run_phase(
-      SplitMix64::Hash(options_.seed, seed_salt ^ core::kGroupPilotSalt),
-      sampling::ProportionalAllocation(shard_rows, pilot_size),
-      /*want_sketch=*/false, &pilot_merged));
-  core::GroupedPilot pilot;
-  pilot.pilot_samples = pilot_merged.scanned;
-  pilot.all = pilot_merged.all;
-  pilot.groups = std::move(pilot_merged.groups);
+  // Each shard scan is one round trip; with `want_sketch` it speaks the
+  // sketch frames and the partial carries per-group quantile sketches.
+  shards.scan = [&](uint64_t w, uint64_t stream_seed, uint64_t sample_count,
+                    bool want_sketch) -> Result<core::GroupedBlockPartial> {
+    GroupedScanRequest req = base;
+    req.sample_count = sample_count;
+    req.stream_seed = stream_seed;
+    const std::string req_frame =
+        want_sketch ? Encode(SketchScanRequest{req}) : Encode(req);
+    ISLA_ASSIGN_OR_RETURN(std::string resp_frame,
+                          transport_->Call(w, req_frame));
+    GroupedScanResponse resp;
+    if (want_sketch) {
+      ISLA_ASSIGN_OR_RETURN(SketchScanResponse sketch_resp,
+                            DecodeSketchScanResponse(resp_frame));
+      resp = {sketch_resp.query_id, sketch_resp.worker_id,
+              std::move(sketch_resp.partial)};
+    } else {
+      ISLA_ASSIGN_OR_RETURN(resp, DecodeGroupedScanResponse(resp_frame));
+    }
+    if (resp.query_id != query_id || resp.worker_id != w) {
+      return Status::Internal("grouped response for wrong query or worker");
+    }
+    return std::move(resp.partial);
+  };
 
-  // --- Phase 2: shared scan sized for the weakest group. ---
-  ISLA_ASSIGN_OR_RETURN(uint64_t scan,
-                        core::PlanGroupedScan(pilot, options_, data_size,
-                                              spec.want_sketch));
-  core::GroupedBlockPartial main_merged;
-  if (scan > 0) {
-    ISLA_RETURN_NOT_OK(run_phase(
-        SplitMix64::Hash(options_.seed, seed_salt ^ core::kGroupCalcSalt),
-        sampling::ProportionalAllocation(shard_rows, scan), spec.want_sketch,
-        &main_merged));
-  }
-
-  // --- Summarization: identical pure functions as the local engine, so
-  // the distributed answer matches GroupByEngine::Aggregate bit for bit. ---
-  ISLA_ASSIGN_OR_RETURN(
-      core::GroupedAggregateResult result,
-      core::SummarizeGroups(main_merged.groups, data_size,
-                            main_merged.scanned, pilot.pilot_samples,
-                            options_));
-  if (spec.want_sketch) {
-    ISLA_RETURN_NOT_OK(core::ApplyQuantileSummary(main_merged.sketches,
-                                                  spec.summary, options_,
-                                                  /*sampled=*/true, &result));
-  }
-  core::ApplyTopK(spec.summary.top_k, &result);
-  return result;
+  // The pipeline of the local GroupByEngine, shard for block: workers
+  // replay the same per-block streams, so the answer is bit-identical.
+  ISLA_ASSIGN_OR_RETURN(core::GroupedPilot pilot,
+                        core::RunGroupedPilot(shards, options_, seed_salt));
+  return core::RunGroupedAggregate(shards, pilot, options_, seed_salt,
+                                   spec.want_sketch, spec.summary);
 }
 
 }  // namespace distributed

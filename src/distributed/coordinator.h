@@ -105,12 +105,13 @@ class Coordinator {
   /// Executes one distributed AVG aggregation.
   Result<DistributedResult> AggregateAvg(uint64_t query_id = 1);
 
-  /// Executes one distributed grouped/predicated aggregation: grouped pilot
-  /// broadcast → shared-scan plan (PlanGroupedScan on the pooled pilot) →
-  /// per-group partial merge in worker order. Workers replay exactly the
-  /// per-block RNG streams of the single-node GroupByEngine, so for the
-  /// same catalog sharding the result is bit-identical to
-  /// GroupByEngine::Aggregate(spec, seed_salt).
+  /// Executes one distributed grouped/predicated aggregation: a shard
+  /// metadata round, then core::RunGroupedPilot and core::RunGroupedAggregate
+  /// — the pipeline GroupByEngine runs over its blocks — with every shard
+  /// scan crossing the Transport. Workers replay exactly the per-block RNG
+  /// streams of the single-node engine, so for the same catalog sharding
+  /// the result is bit-identical to GroupByEngine::Aggregate(spec,
+  /// seed_salt).
   Result<core::GroupedAggregateResult> AggregateGrouped(
       const GroupedQuerySpec& spec, uint64_t query_id = 1,
       uint64_t seed_salt = 0);

@@ -218,17 +218,11 @@ Status Worker::RunGroupedShardScan(const GroupedScanRequest& request,
     keys = key_block_.get();
   }
 
-  partial->block_rows = block_->size();
-  if (request.sample_count > 0) {
-    // The identical stream the single-node engine derives for block
-    // `worker_id_`: Hash(stream_seed, index).
-    Xoshiro256 rng(SplitMix64::Hash(request.stream_seed, worker_id_));
-    runtime::ScratchPool::Lease lease = scratch_pool_.Acquire();
-    ISLA_RETURN_NOT_OK(core::RunGroupedBlockPass(
-        *block_, pred, request.op, request.literal, keys,
-        request.sample_count, &rng, partial, lease.get(), want_sketch));
-  }
-  return Status::OK();
+  runtime::ScratchPool::Lease lease = scratch_pool_.Acquire();
+  return core::ScanGroupedShard(*block_, pred, request.op, request.literal,
+                                keys, worker_id_, request.stream_seed,
+                                request.sample_count, want_sketch,
+                                lease.get(), partial);
 }
 
 Result<std::string> Worker::HandleGroupedScan(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -75,6 +76,22 @@ Status ParallelFor(uint64_t n, uint32_t parallelism,
     if (!s.ok()) return s;
   }
   return Status::OK();
+}
+
+Status ParallelForUntilFailure(uint64_t n, uint32_t parallelism,
+                               const std::function<Status(uint64_t)>& body) {
+  std::atomic<uint64_t> first_failed{std::numeric_limits<uint64_t>::max()};
+  return ParallelFor(n, parallelism, [&](uint64_t i) -> Status {
+    if (first_failed.load(std::memory_order_relaxed) < i) return Status::OK();
+    Status s = body(i);
+    if (!s.ok()) {
+      uint64_t seen = first_failed.load(std::memory_order_relaxed);
+      while (i < seen && !first_failed.compare_exchange_weak(
+                             seen, i, std::memory_order_relaxed)) {
+      }
+    }
+    return s;
+  });
 }
 
 }  // namespace runtime

@@ -30,6 +30,14 @@ unsigned EffectiveParallelism(uint32_t requested);
 Status ParallelFor(uint64_t n, uint32_t parallelism,
                    const std::function<Status(uint64_t)>& body);
 
+/// ParallelFor for rounds that are discarded whole on any error: once
+/// iteration i has failed, iterations above i that have not started yet
+/// are skipped instead of paying for their work. The returned Status is
+/// still the smallest failing index's: that iteration is never skipped (a
+/// skip needs an even smaller failure), however the schedule interleaves.
+Status ParallelForUntilFailure(uint64_t n, uint32_t parallelism,
+                               const std::function<Status(uint64_t)>& body);
+
 }  // namespace runtime
 }  // namespace isla
 

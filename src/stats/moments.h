@@ -46,6 +46,46 @@ class CompensatedSum {
   double comp_ = 0.0;
 };
 
+/// Welford's mergeable moments (n, mean, M2): the one add + Chan-merge +
+/// variance type. It carries no compensated power sums, so the exact same
+/// state crosses the distributed wire — merging decoded partials is
+/// bit-identical to merging local ones.
+struct WelfordMoments {
+  uint64_t n = 0;
+  double mean = 0.0;
+  double m2 = 0.0;  // sum of squared deviations from the mean
+
+  void Add(double v) {
+    ++n;
+    double delta = v - mean;
+    mean += delta / static_cast<double>(n);
+    m2 += delta * (v - mean);
+  }
+
+  /// Chan's parallel combination. Merge order must be deterministic (block
+  /// order) for bit-identical results.
+  void Merge(const WelfordMoments& other) {
+    if (other.n == 0) return;
+    if (n == 0) {
+      *this = other;
+      return;
+    }
+    double na = static_cast<double>(n);
+    double nb = static_cast<double>(other.n);
+    double delta = other.mean - mean;
+    mean += delta * nb / (na + nb);
+    m2 += other.m2 + delta * delta * na * nb / (na + nb);
+    n += other.n;
+  }
+
+  /// Unbiased sample variance; 0 when n < 2.
+  double Variance() const {
+    if (n < 2) return 0.0;
+    double var = m2 / static_cast<double>(n - 1);
+    return var < 0.0 ? 0.0 : var;
+  }
+};
+
 /// The per-region streaming state of Algorithm 1: `paramS` / `paramL` in the
 /// paper. Records count, Σa, Σa², Σa³ without storing samples, which makes
 /// the scheme insensitive to sampling order (§V-A) and enables the online
@@ -56,32 +96,18 @@ class StreamingMoments {
 
   /// Folds one sample into the running sums (updateParams in Algorithm 1).
   void Add(double a) {
-    ++count_;
     sum_.Add(a);
     sum2_.Add(a * a);
     sum3_.Add(a * a * a);
     // Welford update: keeps Variance() stable even when the data sit on a
     // huge offset (where the power-sum formula cancels catastrophically).
-    double delta = a - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (a - mean_);
+    welford_.Add(a);
   }
 
   /// Merges moments from another worker/round (online & distributed modes).
   void Merge(const StreamingMoments& other) {
-    if (other.count_ == 0) return;
-    // Chan's parallel variance combination.
-    double na = static_cast<double>(count_);
-    double nb = static_cast<double>(other.count_);
-    double delta = other.mean_ - mean_;
-    if (count_ == 0) {
-      mean_ = other.mean_;
-      m2_ = other.m2_;
-    } else {
-      mean_ += delta * nb / (na + nb);
-      m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-    }
-    count_ += other.count_;
+    if (other.count() == 0) return;
+    welford_.Merge(other.welford_);
     sum_.Merge(other.sum_);
     sum2_.Merge(other.sum2_);
     sum3_.Merge(other.sum3_);
@@ -89,36 +115,28 @@ class StreamingMoments {
 
   /// Clears all state.
   void Reset() {
-    count_ = 0;
+    welford_ = {};
     sum_.Reset();
     sum2_.Reset();
     sum3_.Reset();
-    mean_ = 0.0;
-    m2_ = 0.0;
   }
 
-  uint64_t count() const { return count_; }
+  uint64_t count() const { return welford_.n; }
   double sum() const { return sum_.Total(); }
   double sum_squares() const { return sum2_.Total(); }
   double sum_cubes() const { return sum3_.Total(); }
 
   /// Sample mean; 0 when empty.
-  double Mean() const { return count_ == 0 ? 0.0 : sum() / count_; }
+  double Mean() const { return count() == 0 ? 0.0 : sum() / count(); }
 
   /// Unbiased sample variance via Welford's M2; 0 when count < 2.
-  double Variance() const {
-    if (count_ < 2) return 0.0;
-    double var = m2_ / static_cast<double>(count_ - 1);
-    return var < 0.0 ? 0.0 : var;
-  }
+  double Variance() const { return welford_.Variance(); }
 
  private:
-  uint64_t count_ = 0;
+  WelfordMoments welford_;  // count, running mean and M2
   CompensatedSum sum_;
   CompensatedSum sum2_;
   CompensatedSum sum3_;
-  double mean_ = 0.0;  // Welford running mean
-  double m2_ = 0.0;    // Welford sum of squared deviations
 };
 
 }  // namespace stats

@@ -465,6 +465,75 @@ TEST(Coordinator, AgreesWithSingleNodeEngine) {
   EXPECT_NEAR(dist->average, local->average, 0.5);
 }
 
+/// Fault injection: a transport that answers worker 1's calls from
+/// worker 0 — every frame decodes cleanly, but carries the wrong shard.
+class MisroutingTransport : public Transport {
+ public:
+  explicit MisroutingTransport(std::vector<std::unique_ptr<Worker>> workers)
+      : inner_(std::move(workers)) {}
+
+  Result<std::string> Call(uint64_t worker_id,
+                           const std::string& frame) override {
+    return inner_.Call(worker_id == 1 ? 0 : worker_id, frame);
+  }
+  size_t size() const override { return inner_.size(); }
+
+ private:
+  LoopbackTransport inner_;
+};
+
+TEST(Coordinator, AvgRejectsResponsesFromTheWrongWorker) {
+  std::vector<std::unique_ptr<Worker>> workers;
+  workers.push_back(NormalWorker(0, 100'000, 10.0, 1.0));
+  workers.push_back(NormalWorker(1, 100'000, 50.0, 1.0));
+  MisroutingTransport transport(std::move(workers));
+  core::IslaOptions options;
+  options.precision = 0.3;
+  Coordinator coordinator(&transport, options);
+  auto r = coordinator.AggregateAvg();
+  ASSERT_FALSE(r.ok()) << "average " << r->average;
+  EXPECT_TRUE(r.status().IsInternal()) << r.status();
+}
+
+TEST(Coordinator, GroupCapIsEnforcedAcrossShards) {
+  // Two shards of 3000 distinct keys each — under kMaxGroups alone, past
+  // it together. Only the merge of the shard partials can see the union,
+  // and the local engine and the loopback cluster share that merge.
+  constexpr uint64_t kKeysPerShard = 3000;
+  constexpr uint64_t kRowsPerShard = 8 * kKeysPerShard;
+  static_assert(kKeysPerShard < core::kMaxGroups &&
+                2 * kKeysPerShard > core::kMaxGroups);
+  storage::Column values{"v"}, keys{"k"};
+  std::vector<std::unique_ptr<Worker>> workers;
+  for (uint64_t w = 0; w < 2; ++w) {
+    std::vector<double> vals, ks;
+    for (uint64_t i = 0; i < kRowsPerShard; ++i) {
+      vals.push_back(static_cast<double>(i % 7));
+      ks.push_back(static_cast<double>(w * kKeysPerShard + i % kKeysPerShard));
+    }
+    auto vb = std::make_shared<storage::MemoryBlock>(std::move(vals));
+    auto kb = std::make_shared<storage::MemoryBlock>(std::move(ks));
+    ASSERT_TRUE(values.AppendBlock(vb).ok());
+    ASSERT_TRUE(keys.AppendBlock(kb).ok());
+    workers.push_back(std::make_unique<Worker>(w, vb, nullptr, kb));
+  }
+  core::IslaOptions options;
+  options.sigma_pilot_size = 2 * kRowsPerShard;  // the pilot sees every key
+
+  core::GroupedSpec spec;
+  spec.values = &values;
+  spec.keys = &keys;
+  auto local = core::GroupByEngine(options).Aggregate(spec);
+  EXPECT_TRUE(local.status().IsResourceExhausted()) << local.status();
+
+  LoopbackTransport transport(std::move(workers));
+  Coordinator coordinator(&transport, options);
+  GroupedQuerySpec wire_spec;
+  wire_spec.has_group = true;
+  auto dist = coordinator.AggregateGrouped(wire_spec);
+  EXPECT_TRUE(dist.status().IsResourceExhausted()) << dist.status();
+}
+
 }  // namespace
 }  // namespace distributed
 }  // namespace isla

@@ -151,6 +151,34 @@ TEST(StreamingMoments, LargeStreamPrecision) {
   EXPECT_NEAR(m.Mean(), mean_expected, 1e-9);
 }
 
+TEST(WelfordMoments, StreamingMomentsVarianceIsTheWelfordState) {
+  // StreamingMoments keeps its (n, mean, M2) in a WelfordMoments, so across
+  // adds and a Chan merge (including one into an empty state) its variance
+  // is bit-identical to the plain type's.
+  StreamingMoments sa, sb, s_empty;
+  WelfordMoments wa, wb, w_empty;
+  Xoshiro256 rng(4);
+  for (int i = 0; i < 700; ++i) {
+    double v = rng.NextDouble() * 30 - 10;
+    if (i % 3 == 0) {
+      sa.Add(v);
+      wa.Add(v);
+    } else {
+      sb.Add(v);
+      wb.Add(v);
+    }
+  }
+  sa.Merge(sb);
+  wa.Merge(wb);
+  s_empty.Merge(sa);
+  w_empty.Merge(wa);
+  EXPECT_EQ(sa.count(), wa.n);
+  EXPECT_EQ(sa.Variance(), wa.Variance());
+  EXPECT_EQ(s_empty.count(), w_empty.n);
+  EXPECT_EQ(s_empty.Variance(), w_empty.Variance());
+  EXPECT_EQ(s_empty.Variance(), sa.Variance());
+}
+
 }  // namespace
 }  // namespace stats
 }  // namespace isla

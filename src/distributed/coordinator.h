@@ -25,6 +25,7 @@ struct FailoverCounters {
   uint64_t hedges = 0;       // duplicate requests sent to a second replica
   uint64_t hedge_wins = 0;   // hedged duplicates that answered first
   uint64_t exhausted = 0;    // shards that failed on every replica
+  uint64_t replica_ejections = 0;  // healthy channels ejected by a failure
   /// Placement-lease epoch the transport's placement was snapshotted at
   /// (0 for transports that never saw a registry lease).
   uint64_t placement_epoch = 0;

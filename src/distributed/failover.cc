@@ -33,6 +33,17 @@ size_t BucketOf(uint64_t micros, size_t n_buckets) {
   return b;
 }
 
+uint64_t SteadyMicros() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// Rank bit of an ejected channel: set above any in-flight count, so one
+/// compare orders replicas by health first and load second.
+constexpr uint64_t kEjectedRank = 1ULL << 63;
+
 }  // namespace
 
 void CallLatencySketch::Record(uint64_t micros) {
@@ -66,7 +77,11 @@ FailoverTransport::FailoverTransport(
     : inner_(inner),
       placement_(std::move(placement)),
       options_(options),
-      outstanding_(inner->size()) {}
+      channels_(inner->size()) {
+  // Like RoundRobinPlacement's replica clamp: zero rounds would make zero
+  // attempts and fail every call without trying a replica.
+  options_.max_rounds = std::max<uint64_t>(1, options_.max_rounds);
+}
 
 FailoverTransport::~FailoverTransport() { racers_.JoinAll(); }
 
@@ -77,27 +92,56 @@ FailoverCounters FailoverTransport::failover_snapshot() const {
   c.hedges = hedges_.load(std::memory_order_relaxed);
   c.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
   c.exhausted = exhausted_.load(std::memory_order_relaxed);
+  c.replica_ejections = ejections_.load(std::memory_order_relaxed);
   c.placement_epoch = options_.placement_epoch;
   return c;
 }
 
 uint64_t FailoverTransport::outstanding_on(uint64_t channel) const {
-  if (channel >= outstanding_.size()) return 0;
-  return outstanding_[channel].load(std::memory_order_relaxed);
+  if (channel >= channels_.size()) return 0;
+  return channels_[channel].outstanding.load(std::memory_order_relaxed);
+}
+
+bool FailoverTransport::Ejected(uint64_t channel, uint64_t* now) const {
+  if (channel >= channels_.size()) return false;
+  const uint64_t until =
+      channels_[channel].ejected_until_micros.load(std::memory_order_relaxed);
+  if (until == 0) return false;
+  if (*now == 0) *now = SteadyMicros();
+  return until > *now;
+}
+
+void FailoverTransport::Eject(uint64_t channel) {
+  const uint64_t now = SteadyMicros();
+  const uint64_t jitter_millis = SplitMix64::Hash(options_.seed, channel, now) %
+                                 (options_.backoff_base_millis + 1);
+  const uint64_t until =
+      now + (options_.backoff_max_millis + jitter_millis) * 1000;
+  if (channels_[channel].ejected_until_micros.exchange(
+          until, std::memory_order_relaxed) == 0) {
+    ejections_.fetch_add(1, std::memory_order_relaxed);
+    GlobalFailoverStats().replica_ejections.fetch_add(
+        1, std::memory_order_relaxed);
+  }
 }
 
 size_t FailoverTransport::PickStart(
     uint64_t shard_id, const std::vector<uint64_t>& replicas) const {
   const size_t n = replicas.size();
   const size_t rotation = static_cast<size_t>(shard_id) % n;
+  uint64_t now = 0;
+  auto rank = [&](uint64_t channel) {
+    return outstanding_on(channel) +
+           (Ejected(channel, &now) ? kEjectedRank : 0);
+  };
   size_t best = rotation;
-  uint64_t best_load = outstanding_on(replicas[rotation]);
+  uint64_t best_rank = rank(replicas[rotation]);
   for (size_t i = 1; i < n; ++i) {
     const size_t idx = (rotation + i) % n;
-    const uint64_t load = outstanding_on(replicas[idx]);
-    if (load < best_load) {
+    const uint64_t r = rank(replicas[idx]);
+    if (r < best_rank) {
       best = idx;
-      best_load = load;
+      best_rank = r;
     }
   }
   return best;
@@ -107,14 +151,23 @@ Result<std::string> FailoverTransport::CallOnce(uint64_t shard_id,
                                                 uint64_t channel,
                                                 const std::string& frame) {
   (void)shard_id;
-  const bool tracked = channel < outstanding_.size();
+  const bool tracked = channel < channels_.size();
   if (tracked) {
-    outstanding_[channel].fetch_add(1, std::memory_order_relaxed);
+    channels_[channel].outstanding.fetch_add(1, std::memory_order_relaxed);
   }
   Timer timer;
   Result<std::string> result = inner_->Call(channel, frame);
   if (tracked) {
-    outstanding_[channel].fetch_sub(1, std::memory_order_relaxed);
+    ChannelState& state = channels_[channel];
+    state.outstanding.fetch_sub(1, std::memory_order_relaxed);
+    if (result.ok()) {
+      // Load before store: a healthy channel's line is never written.
+      if (state.ejected_until_micros.load(std::memory_order_relaxed) != 0) {
+        state.ejected_until_micros.store(0, std::memory_order_relaxed);
+      }
+    } else if (result.status().IsRetryable()) {
+      Eject(channel);
+    }
   }
   if (result.ok()) {
     latency_.Record(static_cast<uint64_t>(timer.ElapsedMillis() * 1000.0));
@@ -207,12 +260,13 @@ Result<std::string> FailoverTransport::Call(uint64_t shard_id,
   }
   const std::vector<uint64_t>& replicas = placement_[shard_id];
   const size_t n = replicas.size();
-  // Preferred replica for this call: least outstanding requests, chosen
-  // once up front (not per attempt, so the retry rotation below stays the
-  // exhaustive sweep the failover tests pin). On an idle transport every
-  // load is zero and the deterministic tie-break degenerates to the
-  // static shard-id rotation, spreading first-choice load across the
-  // replica set exactly as before the balancer existed.
+  // Preferred replica for this call: a healthy one with the least
+  // outstanding requests, chosen once up front (not per attempt, so the
+  // retry rotation below stays the exhaustive sweep the failover tests
+  // pin). On an idle, healthy transport every rank is zero and the
+  // deterministic tie-break degenerates to the static shard-id rotation,
+  // spreading first-choice load across the replica set exactly as before
+  // the balancer existed.
   const size_t start = PickStart(shard_id, replicas);
   const uint64_t max_attempts = options_.max_rounds * n;
 
@@ -239,6 +293,10 @@ Result<std::string> FailoverTransport::Call(uint64_t shard_id,
       GlobalFailoverStats().shard_failovers.fetch_add(
           1, std::memory_order_relaxed);
     }
+
+    // The next attempt goes to a replica this call has not tried yet:
+    // sleeping first would only delay the failover.
+    if (attempt + 1 < n) continue;
 
     // Bounded exponential backoff with deterministic jitter. The shift is
     // clamped so a large max_rounds cannot overflow the multiplier.

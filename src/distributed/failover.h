@@ -26,6 +26,7 @@ struct FailoverStats {
   std::atomic<uint64_t> hedged_requests{0};
   std::atomic<uint64_t> hedge_wins{0};
   std::atomic<uint64_t> shards_exhausted{0};
+  std::atomic<uint64_t> replica_ejections{0};
   std::atomic<uint64_t> transport_reconnects{0};
   std::atomic<uint64_t> workers_registered{0};
   /// Rebalance / replica-integrity counters (PR: elastic rebalancing).
@@ -43,13 +44,21 @@ FailoverStats& GlobalFailoverStats();
 /// Knobs of the retry/failover/hedge policy.
 struct FailoverOptions {
   /// Full rotations over a shard's replica set before giving up. With R
-  /// replicas a shard gets at most R * max_rounds attempts.
+  /// replicas a shard gets at most R * max_rounds attempts. 0 is clamped
+  /// to 1: every call makes at least one attempt on every replica.
   uint64_t max_rounds = 2;
 
-  /// Exponential backoff between attempts: base * 2^attempt, capped.
-  /// Jitter (up to one extra base interval) is derived from
-  /// SplitMix64::Hash(seed, shard, attempt) — deterministic, no wall
-  /// clock, so tests can reason about exact sleep schedules.
+  /// Exponential backoff before re-trying a replica the same call has
+  /// already tried: base * 2^attempt, capped. Moving on to a replica the
+  /// call has not tried yet never sleeps. Jitter (up to one extra base
+  /// interval) is derived from SplitMix64::Hash(seed, shard, attempt) —
+  /// deterministic, no wall clock, so tests can reason about exact sleep
+  /// schedules.
+  ///
+  /// backoff_max_millis is also the ejection window: a channel whose call
+  /// fails with a retryable status ranks behind every healthy replica for
+  /// about that long (plus up to one base interval of jitter), and the
+  /// next real call to it after that is the probe that heals it.
   uint64_t backoff_base_millis = 5;
   uint64_t backoff_max_millis = 200;
 
@@ -98,7 +107,9 @@ class CallLatencySketch {
 /// placement and maps each logical call onto one of the shard's replica
 /// channels on the inner transport, retrying on the next replica (bounded
 /// exponential backoff + deterministic jitter) when a call fails with a
-/// retryable status, and hedging stragglers onto a second replica.
+/// retryable status, and hedging stragglers onto a second replica. A
+/// channel that fails is ejected for about backoff_max_millis: later calls
+/// start on a healthy replica instead of paying a failed attempt each.
 ///
 /// Correctness leans entirely on the per-block RNG-prefix property: every
 /// replica of shard s computes with streams derived from s (not from its
@@ -133,34 +144,50 @@ class FailoverTransport : public Transport {
   uint64_t outstanding_on(uint64_t channel) const;
 
  private:
+  /// Per inner channel: in-flight requests, and the steady-clock µs until
+  /// which the channel is ejected (0: healthy). Both maintained by
+  /// CallOnce.
+  struct ChannelState {
+    std::atomic<uint64_t> outstanding{0};
+    std::atomic<uint64_t> ejected_until_micros{0};
+  };
+
   Result<std::string> CallOnce(uint64_t shard_id, uint64_t channel,
                                const std::string& frame);
   Result<std::string> HedgedCall(uint64_t shard_id, uint64_t primary,
                                  uint64_t secondary,
                                  const std::string& frame);
   uint64_t HedgeDelayMillis() const;
-  /// Least-outstanding-requests replica selection: the rotation start for
-  /// this call is the replica with the fewest in-flight requests on its
-  /// channel, ties broken deterministically by scanning in rotation order
-  /// from `shard_id % n` with strict less-than — so an idle transport
+  /// Health-then-least-outstanding replica selection: the rotation start
+  /// for this call is a replica whose channel is not ejected, if there is
+  /// one, and among those the one with the fewest in-flight requests. Ties
+  /// are broken deterministically by scanning in rotation order from
+  /// `shard_id % n` with strict less-than — so an idle, healthy transport
   /// reproduces the static `shard % n` preference bit for bit, and the
   /// differential suites cannot tell the balancer ever shipped.
   size_t PickStart(uint64_t shard_id,
                    const std::vector<uint64_t>& replicas) const;
+  /// Whether `channel` is inside its ejection window. `now` is the
+  /// steady-clock µs, read on first need (0: not read yet), so a healthy
+  /// replica set never touches the clock.
+  bool Ejected(uint64_t channel, uint64_t* now) const;
+  /// Opens or refreshes `channel`'s ejection window after a retryable
+  /// failure; counts only the healthy → ejected transition.
+  void Eject(uint64_t channel);
 
   Transport* inner_;
   std::vector<std::vector<uint64_t>> placement_;
   FailoverOptions options_;
   CallLatencySketch latency_;
   runtime::ThreadGroup racers_;
-  /// One in-flight counter per inner channel, maintained by CallOnce.
-  std::vector<std::atomic<uint64_t>> outstanding_;
+  std::vector<ChannelState> channels_;
 
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> failovers_{0};
   std::atomic<uint64_t> hedges_{0};
   std::atomic<uint64_t> hedge_wins_{0};
   std::atomic<uint64_t> exhausted_{0};
+  std::atomic<uint64_t> ejections_{0};
 };
 
 /// Builds the canonical replicated placement: `n_shards` logical shards

@@ -155,6 +155,8 @@ std::string ServerStatsRegistry::Render(uint64_t active_sessions,
      << "\nhedge_wins = " << fo.hedge_wins.load(std::memory_order_relaxed)
      << "\nshards_exhausted = "
      << fo.shards_exhausted.load(std::memory_order_relaxed)
+     << "\nreplica_ejections = "
+     << fo.replica_ejections.load(std::memory_order_relaxed)
      << "\nworkers_registered = "
      << fo.workers_registered.load(std::memory_order_relaxed)
      << "\nreplicas_joined = "

@@ -300,6 +300,109 @@ TEST(FailoverTransport, CoordinatorSurvivesOneDeadReplicaPerShard) {
   EXPECT_EQ(degraded_result->failover.exhausted, 0u);
 }
 
+// --- Replica ejection ----------------------------------------------------
+
+TEST(FailoverTransport, ZeroMaxRoundsStillAttemptsEveryReplica) {
+  // max_rounds = 0 is clamped to 1: a healthy call succeeds instead of
+  // failing with "no attempt made", and nothing is counted.
+  ScriptedTransport inner({{}, {}});
+  FailoverOptions options = FastOptions();
+  options.max_rounds = 0;
+  FailoverTransport transport(&inner, {{0, 1}}, options);
+  auto r = transport.Call(0, "req");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, "ch0");
+  FailoverCounters c = transport.failover_snapshot();
+  EXPECT_EQ(c.retries, 0u);
+  EXPECT_EQ(c.failovers, 0u);
+  EXPECT_EQ(c.exhausted, 0u);
+  EXPECT_EQ(c.replica_ejections, 0u);
+}
+
+TEST(FailoverTransport, DeadReplicaIsEjectedAfterOneFailure) {
+  // The first call pays one failed attempt on the dead preferred replica;
+  // every later call inside the ejection window starts on the live one.
+  ScriptedTransport inner({{/*fail_first=*/1'000'000}, {}});
+  FailoverOptions options = FastOptions();
+  options.backoff_max_millis = 60'000;  // the window outlives the test
+  FailoverTransport transport(&inner, {{0, 1}}, options);
+  for (int i = 0; i < 21; ++i) {
+    auto r = transport.Call(0, "req");
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(*r, "ch1");
+  }
+  EXPECT_EQ(inner.calls(0), 1u);
+  EXPECT_EQ(inner.calls(1), 21u);
+  FailoverCounters c = transport.failover_snapshot();
+  EXPECT_EQ(c.failovers, 1u);
+  EXPECT_EQ(c.replica_ejections, 1u);
+}
+
+TEST(FailoverTransport, RecoveredReplicaIsProbedAndPreferredAgain) {
+  // Channel 0 fails once and is ejected for ~5 ms. Once the window has
+  // passed, the next call is the probe: it succeeds, heals the channel,
+  // and the static preference for channel 0 holds again.
+  ScriptedTransport inner({{/*fail_first=*/1}, {}});
+  FailoverOptions options = FastOptions();
+  options.backoff_max_millis = 5;
+  FailoverTransport transport(&inner, {{0, 1}}, options);
+  auto first = transport.Call(0, "req");
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(*first, "ch1");
+
+  // Window: backoff_max_millis plus at most backoff_base_millis jitter.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (int i = 0; i < 3; ++i) {
+    auto r = transport.Call(0, "req");
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(*r, "ch0");
+  }
+  EXPECT_EQ(inner.calls(0), 4u);
+  EXPECT_EQ(inner.calls(1), 1u);
+  EXPECT_EQ(transport.failover_snapshot().replica_ejections, 1u);
+}
+
+TEST(FailoverTransport, AllReplicasEjectedStillSweepsEveryReplica) {
+  // Ejection reorders the replicas but never skips them: with both
+  // channels ejected, a call still makes the full max_rounds * R sweep.
+  // Re-ejecting an ejected channel is not a new ejection.
+  ScriptedTransport inner({{/*fail_first=*/1'000'000},
+                           {/*fail_first=*/1'000'000}});
+  FailoverOptions options = FastOptions();
+  options.max_rounds = 2;
+  options.backoff_max_millis = 60'000;
+  options.backoff_base_millis = 0;  // no sleep between rounds
+  FailoverTransport transport(&inner, {{0, 1}}, options);
+  ASSERT_FALSE(transport.Call(0, "req").ok());
+  EXPECT_EQ(transport.failover_snapshot().replica_ejections, 2u);
+
+  auto r = transport.Call(0, "req");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsIOError()) << r.status();
+  EXPECT_EQ(inner.calls(0), 4u);
+  EXPECT_EQ(inner.calls(1), 4u);
+  FailoverCounters c = transport.failover_snapshot();
+  EXPECT_EQ(c.exhausted, 2u);
+  EXPECT_EQ(c.replica_ejections, 2u);
+}
+
+TEST(FailoverTransport, FailoverToUntriedReplicaDoesNotBackOff) {
+  // Backoff applies only before re-trying a replica the call already
+  // tried. Moving from the dead preferred replica to the untried live one
+  // must not sleep the 500+ ms a backoff would.
+  ScriptedTransport inner({{/*fail_first=*/1'000'000}, {}});
+  FailoverOptions options = FastOptions();
+  options.backoff_base_millis = 500;
+  options.backoff_max_millis = 1'000;
+  FailoverTransport transport(&inner, {{0, 1}}, options);
+  Timer timer;
+  auto r = transport.Call(0, "req");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, "ch1");
+  EXPECT_LT(timer.ElapsedMillis(), 100.0);
+  EXPECT_EQ(transport.failover_snapshot().failovers, 1u);
+}
+
 // --- Registration / registry --------------------------------------------
 
 std::unique_ptr<Worker> NormalWorker(uint64_t id, uint64_t rows) {

@@ -446,6 +446,7 @@ TEST(QueryServerLoop, ShowServerStatsReportsSessionsLatencyAndScans) {
   EXPECT_NE(stats.find("shards_exhausted = "), std::string::npos) << stats;
   EXPECT_NE(stats.find("workers_registered = "), std::string::npos) << stats;
   EXPECT_NE(stats.find("scans[t] = 1"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("replica_ejections = "), std::string::npos) << stats;
 
   // Case-insensitive, like the rest of the mini-SQL surface.
   std::string again = roundtrip("show server stats");

@@ -206,13 +206,14 @@ int RunWithPlacement(const std::vector<isla::net::Endpoint>& endpoints,
               n_shards, endpoints.size());
   const isla::distributed::FailoverCounters& fo = r->failover;
   std::printf("failover: retries=%llu failovers=%llu hedges=%llu "
-              "hedge_wins=%llu exhausted=%llu epoch=%llu\n",
+              "hedge_wins=%llu exhausted=%llu epoch=%llu ejections=%llu\n",
               static_cast<unsigned long long>(fo.retries),
               static_cast<unsigned long long>(fo.failovers),
               static_cast<unsigned long long>(fo.hedges),
               static_cast<unsigned long long>(fo.hedge_wins),
               static_cast<unsigned long long>(fo.exhausted),
-              static_cast<unsigned long long>(fo.placement_epoch));
+              static_cast<unsigned long long>(fo.placement_epoch),
+              static_cast<unsigned long long>(fo.replica_ejections));
   return 0;
 }
 

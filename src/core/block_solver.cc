@@ -108,5 +108,23 @@ Result<BlockAnswer> RunIterationPhase(const BlockParams& params,
   return out;
 }
 
+Result<BlockReport> SolveShard(const storage::Block& block, uint64_t shard,
+                               uint64_t sample_count, const SolvePlan& plan,
+                               const IslaOptions& options,
+                               runtime::ScratchArena* scratch,
+                               BlockParams* params) {
+  ISLA_ASSIGN_OR_RETURN(
+      DataBoundaries boundaries,
+      DataBoundaries::Create(plan.sketch0, plan.sigma, options.p1,
+                             options.p2));
+  Xoshiro256 rng(SplitMix64::Hash(plan.stream_seed, shard));
+  ISLA_RETURN_NOT_OK(RunSamplingPhase(block, boundaries, sample_count,
+                                      plan.shift, &rng, params, scratch));
+  ISLA_ASSIGN_OR_RETURN(BlockAnswer answer,
+                        RunIterationPhase(*params, plan.sketch0, options));
+  return BlockReport{shard, params->block_rows, params->samples_drawn,
+                     answer};
+}
+
 }  // namespace core
 }  // namespace isla

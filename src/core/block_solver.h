@@ -70,6 +70,34 @@ Result<BlockAnswer> RunIterationPhase(const BlockParams& params,
                                       double sketch0,
                                       const IslaOptions& options);
 
+/// Per-block diagnostics surfaced to callers (Table IV reproduces these).
+struct BlockReport {
+  uint64_t block_index = 0;
+  uint64_t block_rows = 0;
+  uint64_t samples_drawn = 0;
+  BlockAnswer answer;
+};
+
+/// What every shard's Calculation phase shares: the shard streams' seed
+/// and the pilot's outcome.
+struct SolvePlan {
+  uint64_t stream_seed = 0;
+  double sketch0 = 0.0;  // shifted domain
+  double sigma = 0.0;
+  double shift = 0.0;
+};
+
+/// Shard `shard`'s Calculation phase: Algorithms 1 + 2 over `sample_count`
+/// rows on the stream Hash(plan.stream_seed, shard), with the data
+/// boundaries of (plan.sketch0, plan.sigma). The single definition of the
+/// per-shard solve, shared by the in-process shards and the distributed
+/// worker. `params` receives the streamed moments.
+Result<BlockReport> SolveShard(const storage::Block& block, uint64_t shard,
+                               uint64_t sample_count, const SolvePlan& plan,
+                               const IslaOptions& options,
+                               runtime::ScratchArena* scratch,
+                               BlockParams* params);
+
 }  // namespace core
 }  // namespace isla
 

@@ -1,6 +1,6 @@
 #include "core/engine.h"
 
-#include <cmath>
+#include <numeric>
 
 #include "core/summarizer.h"
 #include "runtime/kernels/kernels.h"
@@ -13,45 +13,42 @@ namespace core {
 
 namespace {
 
-/// The negative-data translation d (footnote 1): data are shifted to the
-/// positive axis before leveraging. The margin of 3σ̂ past the observed
-/// pilot minimum makes unseen negative tail values positive w.h.p.
-double ComputeShift(double min_value, double sigma) {
-  if (min_value > 0.0) return 0.0;
-  return -min_value + 3.0 * sigma + 1.0;
-}
-
 /// Domain-separation salt for the Calculation phase: per-block streams must
-/// not collide with the pilot stream derived from (seed, salt) alone.
+/// not collide with the pilot streams drawn from (seed, salt).
 constexpr uint64_t kCalcPhaseSalt = 0xca1cULL;
 
 }  // namespace
 
-Result<AggregateResult> IslaEngine::AggregateAvg(const storage::Column& column,
-                                                 uint64_t seed_salt) const {
-  ISLA_RETURN_NOT_OK(options_.Validate());
-  if (column.num_rows() == 0) {
-    return Status::FailedPrecondition("cannot aggregate an empty column");
+Status SummarizeBlocks(std::vector<BlockReport> blocks, double shift,
+                       AggregateResult* res) {
+  std::vector<double> partials;
+  std::vector<uint64_t> partial_sizes;
+  for (const BlockReport& block : blocks) {
+    res->total_samples += block.samples_drawn;
+    partials.push_back(block.answer.avg);
+    partial_sizes.push_back(block.block_rows);
   }
+  res->blocks = std::move(blocks);
+  ISLA_ASSIGN_OR_RETURN(double avg_shifted,
+                        SummarizePartials(partials, partial_sizes));
+  res->average = avg_shifted - shift;
+  res->sum = res->average * static_cast<double>(res->data_size);
+  res->value = res->average;
+  return Status::OK();
+}
 
-  Xoshiro256 rng(SplitMix64::Hash(options_.seed, seed_salt));
-
-  // --- Pre-estimation module --- (the lease's scope returns the pilot's
-  // warmed arena to the pool before the Calculation workers acquire theirs)
-  PilotEstimate pilot;
-  {
-    runtime::ScratchPool::Lease pilot_lease;
-    if (scratch_ != nullptr) pilot_lease = scratch_->Acquire();
-    ISLA_ASSIGN_OR_RETURN(
-        pilot, RunPreEstimation(column, options_, &rng, pilot_lease.get()));
-  }
-
+Result<AggregateResult> RunUngroupedAggregate(const ShardSet& shards,
+                                              const PilotEstimate& pilot,
+                                              const IslaOptions& options,
+                                              uint64_t seed_salt) {
   AggregateResult res;
-  res.data_size = column.num_rows();
-  res.precision = options_.precision;
-  res.confidence = options_.confidence;
+  res.data_size = std::accumulate(pilot.shard_rows.begin(),
+                                  pilot.shard_rows.end(), uint64_t{0});
+  res.precision = options.precision;
+  res.confidence = options.confidence;
   res.sigma_estimate = pilot.sigma;
   res.pilot_samples = pilot.sigma_pilot_samples + pilot.sketch_pilot_samples;
+  res.sketch0 = pilot.sketch0;
   // Record which kernel tier the pilot and Calculation inner loops ran on
   // (index generation, region classification, gathers) so perf reports can
   // attribute rows/sec to the silicon actually used.
@@ -59,75 +56,60 @@ Result<AggregateResult> IslaEngine::AggregateAvg(const storage::Column& column,
 
   // Constant data short-circuits: the pilot mean is exact.
   if (!(pilot.sigma > 0.0)) {
-    res.average = pilot.sketch0;
-    res.sketch0 = pilot.sketch0;
+    res.average = res.value = pilot.sketch0;
     res.sum = res.average * static_cast<double>(res.data_size);
-    res.value = res.average;
     return res;
   }
 
-  const double shift = ComputeShift(pilot.min_value, pilot.sigma);
-  res.shift = shift;
-  const double sketch0 = pilot.sketch0 + shift;
-  res.sketch0 = pilot.sketch0;
+  res.shift = NegativeDataShift(pilot.min_value, pilot.sigma);
+  const SolvePlan plan{
+      SplitMix64::Hash(options.seed, seed_salt ^ kCalcPhaseSalt),
+      pilot.sketch0 + res.shift, pilot.sigma, res.shift};
 
-  ISLA_ASSIGN_OR_RETURN(
-      DataBoundaries boundaries,
-      DataBoundaries::Create(sketch0, pilot.sigma, options_.p1, options_.p2));
-
-  // --- Calculation module: per-block sampling + iteration, executed
-  // concurrently across blocks. Each block owns an independent RNG stream
-  // derived from (seed, salt, block index), so the partials — and therefore
-  // the final answer — are bit-identical for every parallelism setting.
-  const size_t num_blocks = column.num_blocks();
-  std::vector<uint64_t> sizes;
-  sizes.reserve(num_blocks);
-  for (const auto& b : column.blocks()) sizes.push_back(b->size());
-  std::vector<uint64_t> alloc =
-      sampling::ProportionalAllocation(sizes, pilot.target_sample_size);
-
-  std::vector<BlockReport> reports(num_blocks);
-  ISLA_RETURN_NOT_OK(runtime::ParallelFor(
-      num_blocks, options_.parallelism, [&](uint64_t j) -> Status {
-        Xoshiro256 block_rng(SplitMix64::Hash(
-            options_.seed, seed_salt ^ kCalcPhaseSalt, j));
-        // Arenas come from the shared pool when the caller wired one in
-        // (the steady-state allocation-free path); otherwise a per-block
-        // local arena keeps the code path identical.
-        runtime::ScratchPool::Lease lease;
-        if (scratch_ != nullptr) lease = scratch_->Acquire();
-        BlockParams params;
-        ISLA_RETURN_NOT_OK(RunSamplingPhase(*column.blocks()[j], boundaries,
-                                            alloc[j], shift, &block_rng,
-                                            &params, lease.get()));
-        ISLA_ASSIGN_OR_RETURN(BlockAnswer answer,
-                              RunIterationPhase(params, sketch0, options_));
-        reports[j].block_index = j;
-        reports[j].block_rows = params.block_rows;
-        reports[j].samples_drawn = params.samples_drawn;
-        reports[j].answer = answer;
+  // --- Calculation module: per-shard sampling + iteration, each shard on
+  // its own stream, so the partials — and therefore the final answer — are
+  // bit-identical for every parallelism setting.
+  const std::vector<uint64_t> alloc = sampling::ProportionalAllocation(
+      pilot.shard_rows, pilot.target_sample_size);
+  std::vector<BlockReport> reports(alloc.size());
+  ISLA_RETURN_NOT_OK(runtime::ParallelForUntilFailure(
+      alloc.size(), options.parallelism, [&](uint64_t j) -> Status {
+        ISLA_ASSIGN_OR_RETURN(reports[j], shards.solve(j, alloc[j], plan));
         return Status::OK();
       }));
 
-  // Deterministic merge in block order.
-  std::vector<double> partials;
-  std::vector<uint64_t> partial_sizes;
-  partials.reserve(num_blocks);
-  partial_sizes.reserve(num_blocks);
-  for (const BlockReport& report : reports) {
-    res.total_samples += report.samples_drawn;
-    partials.push_back(report.answer.avg);
-    partial_sizes.push_back(report.block_rows);
-  }
-  res.blocks = std::move(reports);
-
   // --- Summarization module ---
-  ISLA_ASSIGN_OR_RETURN(double avg_shifted,
-                        SummarizePartials(partials, partial_sizes));
-  res.average = avg_shifted - shift;
-  res.sum = res.average * static_cast<double>(res.data_size);
-  res.value = res.average;
+  ISLA_RETURN_NOT_OK(SummarizeBlocks(std::move(reports), res.shift, &res));
   return res;
+}
+
+Result<AggregateResult> IslaEngine::AggregateAvg(const storage::Column& column,
+                                                 uint64_t seed_salt) const {
+  // Arenas come from the shared pool when the caller wired one in (the
+  // steady-state allocation-free path); otherwise each stream keeps a
+  // local arena and the code path stays identical.
+  ShardSet shards;
+  for (const auto& b : column.blocks()) shards.rows.push_back(b->size());
+  shards.pilot = [this, &column](uint64_t j, uint64_t stream_seed,
+                                 uint64_t sample_count) {
+    runtime::ScratchPool::Lease lease;
+    if (scratch_ != nullptr) lease = scratch_->Acquire();
+    return PilotShard(*column.blocks()[j], j, stream_seed, sample_count,
+                      lease.get());
+  };
+  shards.solve = [this, &column](uint64_t j, uint64_t sample_count,
+                                 const SolvePlan& plan) {
+    runtime::ScratchPool::Lease lease;
+    if (scratch_ != nullptr) lease = scratch_->Acquire();
+    BlockParams params;
+    return SolveShard(*column.blocks()[j], j, sample_count, plan, options_,
+                      lease.get(), &params);
+  };
+
+  Xoshiro256 rng(SplitMix64::Hash(options_.seed, seed_salt));
+  ISLA_ASSIGN_OR_RETURN(PilotEstimate pilot,
+                        RunUngroupedPilot(shards, options_, &rng));
+  return RunUngroupedAggregate(shards, pilot, options_, seed_salt);
 }
 
 Result<AggregateResult> IslaEngine::AggregateSum(const storage::Column& column,

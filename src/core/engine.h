@@ -8,7 +8,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "core/block_solver.h"
-#include "core/boundaries.h"
+#include "core/group_by.h"
 #include "core/options.h"
 #include "core/pre_estimation.h"
 #include "runtime/scratch_arena.h"
@@ -16,14 +16,6 @@
 
 namespace isla {
 namespace core {
-
-/// Per-block diagnostics surfaced to callers (Table IV reproduces these).
-struct BlockReport {
-  uint64_t block_index = 0;
-  uint64_t block_rows = 0;
-  uint64_t samples_drawn = 0;
-  BlockAnswer answer;
-};
 
 /// Everything an aggregation run produces: the answer, its precision
 /// contract, and full per-block diagnostics.
@@ -48,15 +40,31 @@ struct AggregateResult {
   std::vector<BlockReport> blocks;
 };
 
+/// Summarization (§II-C): moves `blocks` into `res`, adds their samples to
+/// res->total_samples, and sets its average, sum and value from the
+/// row-weighted merge of the blocks' answers in block order, less `shift`.
+Status SummarizeBlocks(std::vector<BlockReport> blocks, double shift,
+                       AggregateResult* res);
+
+/// Calculation + Summarization of the ungrouped pipeline: `pilot`'s main
+/// pass (RunUngroupedPilot over the same shards), every shard solved on
+/// its own stream across options.parallelism threads, and the partials
+/// merged in shard order. Constant data (σ̂ = 0) gets the pilot mean.
+Result<AggregateResult> RunUngroupedAggregate(const ShardSet& shards,
+                                              const PilotEstimate& pilot,
+                                              const IslaOptions& options,
+                                              uint64_t seed_salt);
+
 /// The ISLA aggregation engine: Pre-estimation → per-block Calculation →
 /// Summarization (§II-C), for i.i.d. blocks. Non-i.i.d. data uses
 /// core/noniid.h; incremental refinement uses core/online.h.
 ///
-/// The Calculation phase runs blocks concurrently across
-/// options().parallelism threads (blocks are independent shards). Every
-/// block draws from its own RNG stream — SplitMix64::Hash(seed, salt,
-/// block_index) — so the answer is bit-identical for any thread count,
-/// including 1.
+/// Each block is one shard of RunUngroupedPilot + RunUngroupedAggregate,
+/// with both pilot rounds and the Calculation phase fanned out across
+/// options().parallelism threads. Every block draws from its own RNG
+/// streams, so the answer is bit-identical for any thread count, including
+/// 1 — and to distributed::Coordinator::AggregateAvg(seed_salt), which runs
+/// the same two calls over shards behind a Transport.
 ///
 /// Thread-compatible: one engine may serve concurrent Aggregate calls, each
 /// call deriving its own RNG stream from options().seed and the call's salt.

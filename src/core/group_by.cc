@@ -442,7 +442,7 @@ constexpr uint64_t kGroupCalcSalt = 0x6bca1cULL;
 /// every shard scanned on its own stream, partials merged into `merged` in
 /// shard order — so the merge, and the answer, never depend on the
 /// schedule.
-Status RunGroupedPhase(const GroupedShards& shards, const IslaOptions& options,
+Status RunGroupedPhase(const ShardSet& shards, const IslaOptions& options,
                        uint64_t seed_salt, uint64_t phase_salt,
                        uint64_t sample_count, bool want_sketch,
                        GroupedBlockPartial* merged) {
@@ -463,13 +463,13 @@ Status RunGroupedPhase(const GroupedShards& shards, const IslaOptions& options,
   return Status::OK();
 }
 
-uint64_t TotalRows(const GroupedShards& shards) {
+uint64_t TotalRows(const ShardSet& shards) {
   return std::accumulate(shards.rows.begin(), shards.rows.end(), uint64_t{0});
 }
 
 }  // namespace
 
-Result<GroupedPilot> RunGroupedPilot(const GroupedShards& shards,
+Result<GroupedPilot> RunGroupedPilot(const ShardSet& shards,
                                      const IslaOptions& options,
                                      uint64_t seed_salt) {
   const uint64_t pilot_size =
@@ -486,7 +486,7 @@ Result<GroupedPilot> RunGroupedPilot(const GroupedShards& shards,
 }
 
 Result<GroupedAggregateResult> RunGroupedAggregate(
-    const GroupedShards& shards, const GroupedPilot& pilot,
+    const ShardSet& shards, const GroupedPilot& pilot,
     const IslaOptions& options, uint64_t seed_salt, bool want_sketch,
     const QuantileSummarySpec& summary) {
   const uint64_t data_size = TotalRows(shards);
@@ -514,8 +514,8 @@ Result<GroupedAggregateResult> RunGroupedAggregate(
   return result;
 }
 
-GroupedShards GroupByEngine::Shards(const GroupedSpec& spec) const {
-  GroupedShards shards;
+ShardSet GroupByEngine::Shards(const GroupedSpec& spec) const {
+  ShardSet shards;
   for (const auto& b : spec.values->blocks()) shards.rows.push_back(b->size());
   shards.scan = [this, &spec](uint64_t j, uint64_t stream_seed,
                               uint64_t sample_count, bool want_sketch)

@@ -10,7 +10,9 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "core/block_solver.h"
 #include "core/options.h"
+#include "core/pre_estimation.h"
 #include "runtime/scratch_arena.h"
 #include "stats/moments.h"
 #include "stats/sketch.h"
@@ -236,27 +238,33 @@ Status ApplyQuantileSummary(const SketchMap& sketches,
 /// the pre-cut count either way.
 void ApplyTopK(uint64_t top_k, GroupedAggregateResult* result);
 
-/// What the grouped pipeline needs to know about a sharded table: per-shard
-/// row counts and one scan call. `scan(shard, stream_seed, sample_count,
-/// want_sketch)` returns shard `shard`'s partial of `sample_count` rows on
-/// the stream Hash(stream_seed, shard) (ScanGroupedShard), with per-group
-/// sketches when `want_sketch`. It must be safe to call concurrently for
-/// different shards. The local engine scans in-process blocks; the
-/// distributed coordinator crosses a Transport.
-struct GroupedShards {
+/// What the grouped and ungrouped pipelines need to know about a sharded
+/// table: per-shard row counts and per-shard calls, each safe to call
+/// concurrently for different shards — ScanGroupedShard (`scan`, the
+/// grouped pipeline), PilotShard (`pilot`) and SolveShard (`solve`, the
+/// ungrouped pipeline, which reads shard rows from its σ pilot and `rows`
+/// only for the shard count). The local engines run them on in-process
+/// blocks; the distributed coordinator crosses a Transport.
+struct ShardSet {
   std::vector<uint64_t> rows;
   std::function<Result<GroupedBlockPartial>(uint64_t shard,
                                             uint64_t stream_seed,
                                             uint64_t sample_count,
                                             bool want_sketch)>
       scan;
+  std::function<Result<ShardPilot>(uint64_t shard, uint64_t stream_seed,
+                                   uint64_t sample_count)>
+      pilot;
+  std::function<Result<BlockReport>(uint64_t shard, uint64_t sample_count,
+                                    const SolvePlan& plan)>
+      solve;
 };
 
 /// Pre-estimation: min(options.sigma_pilot_size, M) rows allocated over the
 /// shards proportionally to their rows, shards fanned out across
 /// options.parallelism threads (shards above a failed one are skipped),
 /// partials merged in shard order. Never folds sketches.
-Result<GroupedPilot> RunGroupedPilot(const GroupedShards& shards,
+Result<GroupedPilot> RunGroupedPilot(const ShardSet& shards,
                                      const IslaOptions& options,
                                      uint64_t seed_salt);
 
@@ -264,7 +272,7 @@ Result<GroupedPilot> RunGroupedPilot(const GroupedShards& shards,
 /// fanned out and merged like the pilot, then SummarizeGroups →
 /// ApplyQuantileSummary (when `want_sketch`) → ApplyTopK.
 Result<GroupedAggregateResult> RunGroupedAggregate(
-    const GroupedShards& shards, const GroupedPilot& pilot,
+    const ShardSet& shards, const GroupedPilot& pilot,
     const IslaOptions& options, uint64_t seed_salt, bool want_sketch,
     const QuantileSummarySpec& summary);
 
@@ -311,7 +319,7 @@ class GroupByEngine {
 
  private:
   /// The spec's blocks as the pipeline's shards, scanned in-process.
-  GroupedShards Shards(const GroupedSpec& spec) const;
+  ShardSet Shards(const GroupedSpec& spec) const;
 
   IslaOptions options_;
   runtime::ScratchPool* scratch_;

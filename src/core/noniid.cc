@@ -137,7 +137,7 @@ Result<AggregateResult> AggregateAvgNonIid(const storage::Column& column,
       continue;
     }
 
-    double shift = p.min_value > 0.0 ? 0.0 : -p.min_value + 3.0 * p.sigma + 1.0;
+    double shift = NegativeDataShift(p.min_value, p.sigma);
     double sketch0_shifted = p.sketch0 + shift;
     ISLA_ASSIGN_OR_RETURN(
         DataBoundaries boundaries,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/summarizer.h"
 #include "runtime/kernels/kernels.h"
 #include "sampling/samplers.h"
 #include "stats/confidence.h"
@@ -24,16 +23,12 @@ Result<AggregateResult> OnlineAggregator::Start() {
   if (column_ == nullptr || column_->num_rows() == 0) {
     return Status::FailedPrecondition("cannot aggregate an empty column");
   }
-  ISLA_RETURN_NOT_OK(options_.Validate());
-
   ISLA_ASSIGN_OR_RETURN(pilot_, RunPreEstimation(*column_, options_, &rng_));
   if (!(pilot_.sigma > 0.0)) {
     return Status::FailedPrecondition(
         "online mode requires non-constant data");
   }
-  shift_ = pilot_.min_value > 0.0
-               ? 0.0
-               : -pilot_.min_value + 3.0 * pilot_.sigma + 1.0;
+  shift_ = NegativeDataShift(pilot_.min_value, pilot_.sigma);
   sketch0_shifted_ = pilot_.sketch0 + shift_;
   block_params_.resize(column_->num_blocks());
   for (size_t j = 0; j < column_->num_blocks(); ++j) {
@@ -135,32 +130,20 @@ Result<AggregateResult> OnlineAggregator::Solve() const {
   res.sketch0 = pilot_.sketch0;
   res.shift = shift_;
   res.pilot_samples = pilot_.sigma_pilot_samples + pilot_.sketch_pilot_samples;
-  res.total_samples = total_samples_;
   res.kernel_dispatch = runtime::kernels::ActiveLevelName();
 
   const double sketch_iter = RefinedSketchShifted();
   res.sketch0 = sketch_iter - shift_;
 
-  std::vector<double> partials;
-  std::vector<uint64_t> partial_sizes;
-  for (size_t j = 0; j < block_params_.size(); ++j) {
+  std::vector<BlockReport> blocks;
+  for (uint64_t j = 0; j < block_params_.size(); ++j) {
     ISLA_ASSIGN_OR_RETURN(
         BlockAnswer answer,
         RunIterationPhase(block_params_[j], sketch_iter, options_));
-    BlockReport report;
-    report.block_index = j;
-    report.block_rows = block_params_[j].block_rows;
-    report.samples_drawn = block_params_[j].samples_drawn;
-    report.answer = answer;
-    res.blocks.push_back(report);
-    partials.push_back(answer.avg);
-    partial_sizes.push_back(block_params_[j].block_rows);
+    blocks.push_back({j, block_params_[j].block_rows,
+                      block_params_[j].samples_drawn, answer});
   }
-  ISLA_ASSIGN_OR_RETURN(double avg_shifted,
-                        SummarizePartials(partials, partial_sizes));
-  res.average = avg_shifted - shift_;
-  res.sum = res.average * static_cast<double>(res.data_size);
-  res.value = res.average;
+  ISLA_RETURN_NOT_OK(SummarizeBlocks(std::move(blocks), shift_, &res));
   return res;
 }
 

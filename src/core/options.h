@@ -66,11 +66,12 @@ struct IslaOptions {
   /// PRNG seed: every run is reproducible from this value.
   uint64_t seed = 0x15a15a15aULL;
 
-  /// Threads for the per-block Calculation phase (and the coordinator's
-  /// plan fan-out in distributed mode). 0 = all hardware threads. Any value
-  /// yields bit-identical answers: each block samples from its own RNG
-  /// stream derived as SplitMix64::Hash(seed, salt, block_index), and
-  /// partials merge in block order regardless of completion order.
+  /// Threads for the per-block pilot rounds and Calculation phase (and the
+  /// coordinator's fan-out of every round in distributed mode). 0 = all
+  /// hardware threads. Any value yields bit-identical answers: each block
+  /// samples from its own RNG stream per phase, derived as
+  /// SplitMix64::Hash(phase seed, block_index), and partials merge in block
+  /// order regardless of completion order.
   uint32_t parallelism = 0;
 
   /// Scale factor applied to the Eq. (1) sampling rate. 1.0 reproduces the

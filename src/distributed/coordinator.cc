@@ -1,14 +1,6 @@
 #include "distributed/coordinator.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include "core/summarizer.h"
-#include "runtime/parallel_for.h"
-#include "sampling/samplers.h"
-#include "stats/confidence.h"
-#include "stats/moments.h"
+#include "core/engine.h"
 #include "util/rng.h"
 
 namespace isla {
@@ -33,141 +25,60 @@ Result<DistributedResult> Coordinator::AggregateAvg(uint64_t query_id) {
   if (transport_ == nullptr || transport_->size() == 0) {
     return Status::FailedPrecondition("no workers attached");
   }
-  ISLA_RETURN_NOT_OK(options_.Validate());
   const size_t n_workers = transport_->size();
 
-  // --- Phase 1: pilot broadcast. Pool the Welford fragments with Chan's
-  // formula to get the global σ̂ and pilot mean.
-  PilotRequest pilot_req;
-  pilot_req.query_id = query_id;
-  pilot_req.sample_count =
-      std::max<uint64_t>(2, options_.sigma_pilot_size / n_workers);
-  pilot_req.seed = SplitMix64::Hash(options_.seed, query_id);
-
-  std::vector<uint64_t> shard_rows(n_workers, 0);
-  stats::WelfordMoments pooled;
-  double min_value = std::numeric_limits<double>::infinity();
-  uint64_t data_size = 0;
-
-  for (uint64_t w = 0; w < n_workers; ++w) {
-    ISLA_ASSIGN_OR_RETURN(std::string resp_frame,
-                          transport_->Call(w, Encode(pilot_req)));
+  // Shard rows arrive with the σ pilot (PilotResponse.block_rows), so there
+  // is no metadata round. Each pilot or plan call is one round trip.
+  core::ShardSet shards;
+  shards.rows.assign(n_workers, 0);
+  shards.pilot = [&](uint64_t w, uint64_t stream_seed,
+                     uint64_t sample_count) -> Result<core::ShardPilot> {
+    ISLA_ASSIGN_OR_RETURN(
+        std::string resp_frame,
+        transport_->Call(w, Encode(PilotRequest{query_id, sample_count,
+                                                stream_seed})));
     ISLA_ASSIGN_OR_RETURN(PilotResponse resp,
                           DecodePilotResponse(resp_frame));
     if (resp.query_id != query_id || resp.worker_id != w) {
       return Status::Internal("pilot response for wrong query or worker");
     }
-    shard_rows[w] = resp.block_rows;
-    data_size += resp.block_rows;
-    min_value = std::min(min_value, resp.min_value);
-    pooled.Merge({resp.count, resp.mean, resp.m2});
-  }
-  if (pooled.n < 2 || data_size == 0) {
-    return Status::FailedPrecondition("pilot returned too little data");
-  }
-  double sigma = std::sqrt(pooled.Variance());
-
-  DistributedResult out;
-  out.data_size = data_size;
-  out.sigma_estimate = sigma;
-  if (!(sigma > 0.0)) {
-    out.average = pooled.mean;
-    out.sketch0 = pooled.mean;
-    out.sum = out.average * static_cast<double>(data_size);
-    out.failover = transport_->failover_snapshot();
-    return out;
-  }
-
-  // --- Phase 2: sketch pilot at the relaxed precision, reusing the pilot
-  // protocol with a larger share.
-  ISLA_ASSIGN_OR_RETURN(
-      uint64_t m_sketch,
-      stats::RequiredSampleSize(
-          sigma, options_.sketch_relaxation * options_.precision,
-          options_.confidence));
-  std::vector<uint64_t> sketch_alloc =
-      sampling::ProportionalAllocation(shard_rows, m_sketch);
-  double sketch_weighted = 0.0;
-  uint64_t sketch_n = 0;
-  for (uint64_t w = 0; w < n_workers; ++w) {
-    if (sketch_alloc[w] == 0) continue;
-    PilotRequest req;
-    req.query_id = query_id;
-    req.sample_count = sketch_alloc[w];
-    req.seed = SplitMix64::Hash(options_.seed, query_id ^ 0x5ce7cbULL);
-    ISLA_ASSIGN_OR_RETURN(std::string resp_frame,
-                          transport_->Call(w, Encode(req)));
-    ISLA_ASSIGN_OR_RETURN(PilotResponse resp,
-                          DecodePilotResponse(resp_frame));
-    if (resp.query_id != query_id || resp.worker_id != w) {
-      return Status::Internal(
-          "sketch pilot response for wrong query or worker");
-    }
-    sketch_weighted += resp.mean * static_cast<double>(resp.count);
-    sketch_n += resp.count;
-    min_value = std::min(min_value, resp.min_value);
-  }
-  if (sketch_n == 0) {
-    return Status::Internal("sketch pilot drew nothing");
-  }
-  double sketch0 = sketch_weighted / static_cast<double>(sketch_n);
-  out.sketch0 = sketch0;
-
-  double shift =
-      min_value > 0.0 ? 0.0 : -min_value + 3.0 * sigma + 1.0;
-
-  // --- Phase 3: plan broadcast (Eq. 1 share per shard) + gather.
-  ISLA_ASSIGN_OR_RETURN(uint64_t m,
-                        stats::RequiredSampleSize(sigma, options_.precision,
-                                                  options_.confidence));
-  m = static_cast<uint64_t>(std::ceil(static_cast<double>(m) *
-                                      options_.sampling_rate_scale));
-  std::vector<uint64_t> alloc =
-      sampling::ProportionalAllocation(shard_rows, m);
-
-  // The plan round is the heavy one (each worker runs Algorithms 1 + 2 on
-  // its shard), so fan it out across options_.parallelism threads. Workers
-  // derive their RNG streams from (seed, worker_id), so responses are
-  // independent of dispatch order; collecting them into indexed slots and
-  // merging in worker order keeps the distributed answer deterministic.
-  // Transport::Call must be thread-safe (LoopbackTransport is: workers are
-  // const and FileBlock serializes its I/O).
+    return core::ShardPilot{resp.block_rows,
+                            {resp.count, resp.mean, resp.m2},
+                            resp.min_value};
+  };
   std::vector<PartialResult> partials(n_workers);
-  auto run_shard = [&](uint64_t w) -> Status {
-    QueryPlan plan;
-    plan.query_id = query_id;
-    plan.sample_count = alloc[w];
-    plan.seed = SplitMix64::Hash(options_.seed, query_id ^ 0x91a7ULL);
-    plan.sketch0 = sketch0 + shift;
-    plan.sigma = sigma;
-    plan.shift = shift;
-    plan.options = options_;
+  shards.solve = [&](uint64_t w, uint64_t sample_count,
+                     const core::SolvePlan& solve) -> Result<core::BlockReport> {
+    const QueryPlan plan{query_id,      sample_count, solve.stream_seed,
+                         solve.sketch0, solve.sigma,  solve.shift,
+                         options_};
     ISLA_ASSIGN_OR_RETURN(std::string resp_frame,
                           transport_->Call(w, Encode(plan)));
-    ISLA_ASSIGN_OR_RETURN(partials[w], DecodePartialResult(resp_frame));
-    if (partials[w].query_id != query_id || partials[w].worker_id != w) {
+    ISLA_ASSIGN_OR_RETURN(PartialResult partial,
+                          DecodePartialResult(resp_frame));
+    if (partial.query_id != query_id || partial.worker_id != w) {
       return Status::Internal("partial result for wrong query or worker");
     }
-    return Status::OK();
+    partials[w] = partial;
+    core::BlockReport report{w, partial.block_rows, partial.samples_drawn, {}};
+    report.answer.avg = partial.avg;
+    return report;
   };
-  ISLA_RETURN_NOT_OK(
-      runtime::ParallelForUntilFailure(n_workers, options_.parallelism,
-                                       run_shard));
 
-  std::vector<double> partial_avgs;
-  std::vector<uint64_t> partial_rows;
-  for (const PartialResult& partial : partials) {
-    out.total_samples += partial.samples_drawn;
-    partial_avgs.push_back(partial.avg);
-    partial_rows.push_back(partial.block_rows);
-    out.partials.push_back(partial);
-  }
+  // The pipeline of the local IslaEngine, shard for block, with the query
+  // id as the seed salt: workers replay the same per-block streams.
+  Xoshiro256 rng(SplitMix64::Hash(options_.seed, query_id));
+  ISLA_ASSIGN_OR_RETURN(core::PilotEstimate pilot,
+                        core::RunUngroupedPilot(shards, options_, &rng));
+  ISLA_ASSIGN_OR_RETURN(
+      core::AggregateResult res,
+      core::RunUngroupedAggregate(shards, pilot, options_, query_id));
 
-  ISLA_ASSIGN_OR_RETURN(double avg_shifted,
-                        core::SummarizePartials(partial_avgs, partial_rows));
-  out.average = avg_shifted - shift;
-  out.sum = out.average * static_cast<double>(data_size);
-  out.failover = transport_->failover_snapshot();
+  DistributedResult out{res.average,       res.sum,
+                        res.data_size,     res.total_samples,
+                        res.sigma_estimate, res.sketch0,
+                        {},                transport_->failover_snapshot()};
+  if (!res.blocks.empty()) out.partials = std::move(partials);
   return out;
 }
 
@@ -188,7 +99,7 @@ Result<core::GroupedAggregateResult> Coordinator::AggregateGrouped(
 
   // --- Shard metadata (sample_count = 0 draws nothing), giving the
   // per-shard row counts that drive proportional allocation. ---
-  core::GroupedShards shards;
+  core::ShardSet shards;
   uint64_t data_size = 0;
   for (uint64_t w = 0; w < n_workers; ++w) {
     ISLA_ASSIGN_OR_RETURN(std::string resp_frame,

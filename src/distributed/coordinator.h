@@ -35,7 +35,7 @@ struct FailoverCounters {
 /// response frame out. Implementations may add latency, drop frames, or
 /// corrupt bytes (the fault-injection tests do exactly that). Call must be
 /// safe to invoke concurrently from different threads: the coordinator
-/// fans the plan round out across options.parallelism threads.
+/// fans every round out across options.parallelism threads.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -103,7 +103,10 @@ class Coordinator {
  public:
   Coordinator(Transport* transport, core::IslaOptions options);
 
-  /// Executes one distributed AVG aggregation.
+  /// Executes one distributed AVG aggregation: the pipeline IslaEngine runs
+  /// (core::RunUngroupedPilot + RunUngroupedAggregate), in three rounds of
+  /// one call per worker. Bit-identical to IslaEngine::AggregateAvg(column,
+  /// query_id) over the same sharding.
   Result<DistributedResult> AggregateAvg(uint64_t query_id = 1);
 
   /// Executes one distributed grouped/predicated aggregation: a shard

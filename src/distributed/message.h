@@ -35,7 +35,8 @@ enum class MessageType : uint32_t {
   kShardBlockChunk = 13,
 };
 
-/// Coordinator → worker: draw `sample_count` uniform pilot samples.
+/// Coordinator → worker: draw `sample_count` uniform pilot samples on the
+/// stream Hash(seed, worker_id) (core::PilotShard).
 struct PilotRequest {
   uint64_t query_id = 0;
   uint64_t sample_count = 0;

@@ -1,15 +1,9 @@
 #include "distributed/worker.h"
 
 #include <algorithm>
-#include <limits>
 
-#include "core/block_solver.h"
-#include "core/boundaries.h"
 #include "core/group_by.h"
 #include "distributed/failover.h"
-#include "runtime/kernels/kernels.h"
-#include "sampling/samplers.h"
-#include "stats/moments.h"
 #include "storage/file_block.h"
 #include "util/rng.h"
 
@@ -120,75 +114,32 @@ Result<std::string> Worker::HandleShardFetch(
 }
 
 Result<std::string> Worker::HandlePilot(const PilotRequest& request) const {
-  Xoshiro256 rng(SplitMix64::Hash(request.seed, worker_id_));
-  stats::StreamingMoments moments;
-  double min_value = std::numeric_limits<double>::infinity();
-  uint64_t want = std::min<uint64_t>(request.sample_count, block_->size());
   runtime::ScratchPool::Lease lease = scratch_pool_.Acquire();
-  sampling::BlockSampleStream stream(*block_, want, &rng, lease.get());
-  std::span<const double> batch;
-  for (;;) {
-    ISLA_RETURN_NOT_OK(stream.Next(&batch));
-    if (batch.empty()) break;
-    for (double v : batch) moments.Add(v);
-    // Same batch-min kernel split as the single-node pilot
-    // (core/pre_estimation.cc): the two paths must fold min identically.
-    const double batch_min =
-        runtime::kernels::Ops().min(batch.data(), batch.size());
-    if (batch_min < min_value) min_value = batch_min;
-  }
-
-  PilotResponse resp;
-  resp.query_id = request.query_id;
-  resp.worker_id = worker_id_;
-  resp.block_rows = block_->size();
-  resp.count = moments.count();
-  resp.mean = moments.Mean();
-  // Recover Welford's M2 from the unbiased variance.
-  resp.m2 = moments.Variance() * static_cast<double>(
-                                     moments.count() > 1 ? moments.count() - 1
-                                                         : 0);
-  resp.min_value = min_value;
-  return Encode(resp);
+  ISLA_ASSIGN_OR_RETURN(core::ShardPilot pilot,
+                        core::PilotShard(*block_, worker_id_, request.seed,
+                                         request.sample_count, lease.get()));
+  return Encode(PilotResponse{request.query_id, worker_id_, pilot.block_rows,
+                              pilot.moments.n, pilot.moments.mean,
+                              pilot.moments.m2, pilot.min_value});
 }
 
 Result<std::string> Worker::HandlePlan(const QueryPlan& plan) const {
   ISLA_RETURN_NOT_OK(plan.options.Validate());
-  ISLA_ASSIGN_OR_RETURN(
-      core::DataBoundaries boundaries,
-      core::DataBoundaries::Create(plan.sketch0, plan.sigma, plan.options.p1,
-                                   plan.options.p2));
-  // Same stream-derivation scheme as the single-node engine's per-block
-  // streams: (seed, phase salt, shard index) → independent Xoshiro stream.
-  // Shards can therefore be solved in any order — or concurrently by the
-  // coordinator's fan-out — with bit-identical partial results.
-  Xoshiro256 rng(SplitMix64::Hash(plan.seed, 0xd157ULL, worker_id_));
   core::BlockParams params;
   runtime::ScratchPool::Lease lease = scratch_pool_.Acquire();
-  ISLA_RETURN_NOT_OK(core::RunSamplingPhase(*block_, boundaries,
-                                            plan.sample_count, plan.shift,
-                                            &rng, &params, lease.get()));
   ISLA_ASSIGN_OR_RETURN(
-      core::BlockAnswer answer,
-      core::RunIterationPhase(params, plan.sketch0, plan.options));
-
-  PartialResult out;
-  out.query_id = plan.query_id;
-  out.worker_id = worker_id_;
-  out.block_rows = block_->size();
-  out.samples_drawn = params.samples_drawn;
-  out.avg = answer.avg;
-  out.s_count = answer.s_count;
-  out.l_count = answer.l_count;
-  out.iterations = answer.iterations;
-  out.alpha = answer.alpha;
-  out.s_sum = params.param_s.sum();
-  out.s_sum2 = params.param_s.sum_squares();
-  out.s_sum3 = params.param_s.sum_cubes();
-  out.l_sum = params.param_l.sum();
-  out.l_sum2 = params.param_l.sum_squares();
-  out.l_sum3 = params.param_l.sum_cubes();
-  return Encode(out);
+      core::BlockReport report,
+      core::SolveShard(*block_, worker_id_, plan.sample_count,
+                       {plan.seed, plan.sketch0, plan.sigma, plan.shift},
+                       plan.options, lease.get(), &params));
+  const core::BlockAnswer& a = report.answer;
+  const stats::StreamingMoments& s = params.param_s;
+  const stats::StreamingMoments& l = params.param_l;
+  return Encode(PartialResult{
+      plan.query_id, worker_id_, report.block_rows, report.samples_drawn,
+      a.avg, a.s_count, a.l_count, a.iterations, a.alpha, s.sum(),
+      s.sum_squares(), s.sum_cubes(), l.sum(), l.sum_squares(),
+      l.sum_cubes()});
 }
 
 Status Worker::RunGroupedShardScan(const GroupedScanRequest& request,

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/group_by.h"
 #include "core/options.h"
 #include "distributed/coordinator.h"
@@ -368,8 +369,8 @@ TEST_F(DifferentialTest, UngroupedAvgTcpBitIdenticalToLoopbackAcrossSeeds) {
   // The ungrouped AVG pipeline (pilot → sketch → per-shard Algorithms
   // 1+2) is a different code path from the grouped scan; pin TCP against
   // loopback across seeds and parallelism there too. (Single-node
-  // IslaEngine partitions planning differently, so cross-mode equality is
-  // statistical, not bitwise — covered by distributed_test.)
+  // IslaEngine runs the same pipeline, so it is bit-identical as well —
+  // pinned by UngroupedAvgLocalBitIdenticalToLoopbackAndTcp.)
   for (uint64_t q = 1; q <= 8; ++q) {
     core::IslaOptions options;
     options.precision = 0.4;
@@ -804,6 +805,49 @@ TEST_F(DifferentialTest, HedgedStragglerWinBitIdenticalToLoopback) {
     EXPECT_EQ(hedged->sketch0, healthy->sketch0) << "query " << q;
   }
   cluster.StopAll();
+}
+
+TEST_F(DifferentialTest, UngroupedAvgLocalBitIdenticalToLoopbackAndTcp) {
+  // One ungrouped pipeline (σ pilot → sketch pilot → Eq. (1) plan →
+  // per-shard Algorithms 1+2 → block-ordered merge) serves all three
+  // modes: the local seed salt and the coordinator's query id pick the
+  // same per-shard streams, so every answer is the same bits.
+  for (uint64_t q = 1; q <= 8; ++q) {
+    core::IslaOptions options;
+    options.precision = 0.4;
+    options.parallelism = 1 + (q % 4);
+    options.seed = 0x15a15a15aULL + q;
+
+    auto local =
+        core::IslaEngine(options).AggregateAvg(fixture_->values, q);
+    ASSERT_TRUE(local.ok()) << local.status();
+    EXPECT_GT(local->total_samples, 0u) << "query " << q;
+
+    std::vector<std::unique_ptr<distributed::Worker>> loop_workers;
+    for (uint64_t w = 0; w < fixture_->shards.size(); ++w) {
+      loop_workers.push_back(std::make_unique<distributed::Worker>(
+          w, fixture_->shards[w][0]));
+    }
+    distributed::LoopbackTransport loopback(std::move(loop_workers));
+    distributed::Coordinator loop_coord(&loopback, options);
+    auto loop = loop_coord.AggregateAvg(/*query_id=*/q);
+    ASSERT_TRUE(loop.ok()) << loop.status();
+
+    distributed::Coordinator tcp_coord(transport_, options);
+    auto tcp = tcp_coord.AggregateAvg(/*query_id=*/q);
+    ASSERT_TRUE(tcp.ok()) << tcp.status();
+
+    for (const auto& [mode, got] :
+         {std::pair{"loopback", &*loop}, std::pair{"tcp", &*tcp}}) {
+      EXPECT_EQ(got->average, local->average) << mode << " query " << q;
+      EXPECT_EQ(got->sum, local->sum) << mode << " query " << q;
+      EXPECT_EQ(got->total_samples, local->total_samples)
+          << mode << " query " << q;
+      EXPECT_EQ(got->sigma_estimate, local->sigma_estimate)
+          << mode << " query " << q;
+      EXPECT_EQ(got->sketch0, local->sketch0) << mode << " query " << q;
+    }
+  }
 }
 
 }  // namespace

@@ -534,6 +534,67 @@ TEST(Coordinator, GroupCapIsEnforcedAcrossShards) {
   EXPECT_TRUE(dist.status().IsResourceExhausted()) << dist.status();
 }
 
+TEST(Coordinator, SigmaEstimateWeighsShardsByRows) {
+  // Unequal shards: the σ pilot draws an equal share of each, so its
+  // moments must pool weighted by shard rows to estimate the population σ
+  // — locally over blocks and distributed over workers alike.
+  struct Mixture {
+    uint64_t rows[2];
+    double mu[2];
+    double sigma[2];
+  };
+  for (const Mixture& m :
+       {Mixture{{9'000'000, 3'000'000}, {10.0, 50.0}, {1.0, 1.0}},
+        Mixture{{9'000'000, 1'000'000}, {0.0, 0.0}, {10.0, 1.0}}}) {
+    // σ² = Σ_j w_j(σ_j² + (μ_j − μ)²): 17.35 and 9.49 for these two.
+    const double total = static_cast<double>(m.rows[0] + m.rows[1]);
+    double mu = 0.0, var = 0.0;
+    for (int j = 0; j < 2; ++j) mu += m.rows[j] / total * m.mu[j];
+    for (int j = 0; j < 2; ++j) {
+      var += m.rows[j] / total *
+             (m.sigma[j] * m.sigma[j] + (m.mu[j] - mu) * (m.mu[j] - mu));
+    }
+    const double sigma = std::sqrt(var);
+
+    storage::Column column("v");
+    std::vector<std::unique_ptr<Worker>> workers;
+    for (uint64_t w = 0; w < 2; ++w) {
+      auto block = std::make_shared<storage::GeneratorBlock>(
+          std::make_shared<stats::NormalDistribution>(m.mu[w], m.sigma[w]),
+          m.rows[w], SplitMix64::Hash(5150, w));
+      ASSERT_TRUE(column.AppendBlock(block).ok());
+      workers.push_back(std::make_unique<Worker>(w, block));
+    }
+    LoopbackTransport transport(std::move(workers));
+    core::IslaOptions options;
+    options.precision = 0.5;
+    for (uint64_t q = 1; q <= 5; ++q) {
+      auto local = core::IslaEngine(options).AggregateAvg(column, q);
+      ASSERT_TRUE(local.ok()) << local.status();
+      auto dist = Coordinator(&transport, options).AggregateAvg(q);
+      ASSERT_TRUE(dist.ok()) << dist.status();
+      EXPECT_NEAR(local->sigma_estimate, sigma, 1.0) << "query " << q;
+      EXPECT_NEAR(dist->sigma_estimate, sigma, 1.0) << "query " << q;
+    }
+  }
+}
+
+TEST(Coordinator, MainPassNeverExceedsRows) {
+  // Eq. (1) asks for ~614k rows at e = 0.05 on σ = 20; the cluster holds
+  // 10k, so the plan must clamp to them as the local engine does.
+  std::vector<std::unique_ptr<Worker>> workers;
+  workers.push_back(NormalWorker(0, 5'000));
+  workers.push_back(NormalWorker(1, 5'000));
+  LoopbackTransport transport(std::move(workers));
+  core::IslaOptions options;
+  options.precision = 0.05;
+  Coordinator coordinator(&transport, options);
+  auto r = coordinator.AggregateAvg();
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->data_size, 10'000u);
+  EXPECT_LE(r->total_samples, r->data_size);
+}
+
 }  // namespace
 }  // namespace distributed
 }  // namespace isla

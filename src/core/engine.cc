@@ -72,7 +72,7 @@ Result<AggregateResult> RunUngroupedAggregate(const ShardSet& shards,
   const std::vector<uint64_t> alloc = sampling::ProportionalAllocation(
       pilot.shard_rows, pilot.target_sample_size);
   std::vector<BlockReport> reports(alloc.size());
-  ISLA_RETURN_NOT_OK(runtime::ParallelForUntilFailure(
+  ISLA_RETURN_NOT_OK(runtime::ParallelFor(
       alloc.size(), options.parallelism, [&](uint64_t j) -> Status {
         ISLA_ASSIGN_OR_RETURN(reports[j], shards.solve(j, alloc[j], plan));
         return Status::OK();

@@ -34,8 +34,8 @@ struct AggregateResult {
   double shift = 0.0;          // negative-data translation applied
   uint64_t total_samples = 0;  // main-pass samples across blocks
   uint64_t pilot_samples = 0;  // σ pilot + sketch pilot
-  /// Kernel tier the run's inner loops dispatched to ("scalar"/"sse2"/
-  /// "avx2") — static storage, diagnostic only, never serialized.
+  /// Kernel tier the run's inner loops dispatched to ("scalar"/"avx2") —
+  /// static storage, diagnostic only, never serialized.
   std::string_view kernel_dispatch;
   std::vector<BlockReport> blocks;
 };

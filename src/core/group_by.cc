@@ -81,7 +81,7 @@ Status TooManyGroups() {
 
 void EvalPredicateMask(PredicateOp op, std::span<const double> lhs,
                        double rhs, uint8_t* mask) {
-  // Kernel-dispatched (AVX2 → SSE2 → scalar); SQL NaN semantics — a NaN on
+  // Kernel-dispatched (AVX2 → scalar); SQL NaN semantics — a NaN on
   // either side never matches, including != — are part of the kernel
   // contract and bit-identical at every tier.
   runtime::kernels::Ops().eval_predicate_mask(ToCmpOp(op), lhs.data(),
@@ -451,7 +451,7 @@ Status RunGroupedPhase(const ShardSet& shards, const IslaOptions& options,
   const std::vector<uint64_t> alloc =
       sampling::ProportionalAllocation(shards.rows, sample_count);
   std::vector<GroupedBlockPartial> partials(shards.rows.size());
-  ISLA_RETURN_NOT_OK(runtime::ParallelForUntilFailure(
+  ISLA_RETURN_NOT_OK(runtime::ParallelFor(
       partials.size(), options.parallelism, [&](uint64_t j) -> Status {
         ISLA_ASSIGN_OR_RETURN(
             partials[j], shards.scan(j, stream_seed, alloc[j], want_sketch));

@@ -25,7 +25,7 @@ Result<std::vector<ShardPilot>> RunPilotRound(
     const ShardSet& shards, const IslaOptions& options, uint64_t stream_seed,
     const std::vector<uint64_t>& counts) {
   std::vector<ShardPilot> pilots(counts.size());
-  ISLA_RETURN_NOT_OK(runtime::ParallelForUntilFailure(
+  ISLA_RETURN_NOT_OK(runtime::ParallelFor(
       counts.size(), options.parallelism, [&](uint64_t j) -> Status {
         ISLA_ASSIGN_OR_RETURN(pilots[j],
                               shards.pilot(j, stream_seed, counts[j]));

@@ -29,7 +29,7 @@ Result<uint64_t> BaselineSampleSize(const storage::Column& column,
 
 /// Exact AVG by full scan: the ground-truth method for materialized data.
 /// Each batch reduces through the kernel-dispatched compensated sum (SIMD
-/// on AVX2/SSE2); batch totals fold into one compensated accumulator.
+/// on AVX2); batch totals fold into one compensated accumulator.
 Result<double> ExactAvg(const storage::Column& column) {
   const auto& kernels = runtime::kernels::Ops();
   stats::CompensatedSum sum;

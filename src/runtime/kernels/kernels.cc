@@ -1,6 +1,6 @@
 // Runtime dispatch: picks the strongest compiled-in tier the CPU supports,
 // once, at first use (thread-safe function-local static). ISLA_KERNELS
-// forces a weaker tier for testing the fallback paths; asking for a tier
+// forces the scalar tier for testing the fallback path; asking for a tier
 // the machine cannot run clamps down with a notice rather than crashing.
 
 #include "runtime/kernels/kernels.h"
@@ -36,7 +36,7 @@ Resolved Resolve() {
     if (!DispatchLevelFromString(env, &forced)) {
       std::fprintf(stderr,
                    "isla: ignoring unknown ISLA_KERNELS value '%s' "
-                   "(expected scalar|sse2|avx2)\n",
+                   "(expected scalar|avx2)\n",
                    env);
     } else if (static_cast<int>(forced) > static_cast<int>(level)) {
       std::fprintf(stderr,
@@ -61,8 +61,6 @@ std::string_view DispatchLevelName(DispatchLevel level) {
   switch (level) {
     case DispatchLevel::kScalar:
       return "scalar";
-    case DispatchLevel::kSse2:
-      return "sse2";
     case DispatchLevel::kAvx2:
       return "avx2";
   }
@@ -72,8 +70,6 @@ std::string_view DispatchLevelName(DispatchLevel level) {
 bool DispatchLevelFromString(std::string_view name, DispatchLevel* out) {
   if (name == "scalar") {
     *out = DispatchLevel::kScalar;
-  } else if (name == "sse2") {
-    *out = DispatchLevel::kSse2;
   } else if (name == "avx2") {
     *out = DispatchLevel::kAvx2;
   } else {
@@ -86,9 +82,6 @@ DispatchLevel DetectBestLevel() {
   if (LevelCompiled(DispatchLevel::kAvx2) && ISLA_CPU_SUPPORTS("avx2")) {
     return DispatchLevel::kAvx2;
   }
-  if (LevelCompiled(DispatchLevel::kSse2) && ISLA_CPU_SUPPORTS("sse2")) {
-    return DispatchLevel::kSse2;
-  }
   return DispatchLevel::kScalar;
 }
 
@@ -96,8 +89,6 @@ bool LevelCompiled(DispatchLevel level) {
   switch (level) {
     case DispatchLevel::kScalar:
       return true;
-    case DispatchLevel::kSse2:
-      return internal::Sse2Ops() != nullptr;
     case DispatchLevel::kAvx2:
       return internal::Avx2Ops() != nullptr;
   }
@@ -109,8 +100,6 @@ bool LevelSupported(DispatchLevel level) {
   switch (level) {
     case DispatchLevel::kScalar:
       return true;
-    case DispatchLevel::kSse2:
-      return ISLA_CPU_SUPPORTS("sse2");
     case DispatchLevel::kAvx2:
       return ISLA_CPU_SUPPORTS("avx2");
   }
@@ -124,11 +113,6 @@ const KernelOps& OpsFor(DispatchLevel level) {
         return *ops;
       }
       break;
-    case DispatchLevel::kSse2:
-      if (const KernelOps* ops = internal::Sse2Ops(); ops != nullptr) {
-        return *ops;
-      }
-      break;
     case DispatchLevel::kScalar:
       break;
   }
@@ -137,9 +121,6 @@ const KernelOps& OpsFor(DispatchLevel level) {
 
 std::vector<DispatchLevel> SupportedLevels() {
   std::vector<DispatchLevel> levels = {DispatchLevel::kScalar};
-  if (LevelSupported(DispatchLevel::kSse2)) {
-    levels.push_back(DispatchLevel::kSse2);
-  }
   if (LevelSupported(DispatchLevel::kAvx2)) {
     levels.push_back(DispatchLevel::kAvx2);
   }

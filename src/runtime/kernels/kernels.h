@@ -15,19 +15,18 @@ namespace kernels {
 
 /// Instruction-set tiers of the kernel library, ordered weakest to
 /// strongest. Dispatch picks the strongest tier the CPU supports once at
-/// first use; `ISLA_KERNELS=scalar|sse2|avx2` forces a weaker tier for
-/// testing the fallback paths.
+/// first use; `ISLA_KERNELS=scalar|avx2` forces a weaker tier for testing
+/// the fallback path.
 enum class DispatchLevel : int {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
-/// "scalar" / "sse2" / "avx2".
+/// "scalar" / "avx2".
 std::string_view DispatchLevelName(DispatchLevel level);
 
-/// Parses "scalar"/"sse2"/"avx2" (the ISLA_KERNELS spellings). Returns
-/// false on anything else.
+/// Parses "scalar"/"avx2" (the ISLA_KERNELS spellings). Returns false on
+/// anything else.
 bool DispatchLevelFromString(std::string_view name, DispatchLevel* out);
 
 /// Comparison operator of the predicate-mask kernel. Values deliberately
@@ -43,19 +42,19 @@ enum class CmpOp : int {
 };
 
 /// Number of independent accumulator lanes of the striped reductions
-/// (sum/min/max below). Element i folds into lane i % kStripeLanes in index
+/// (sum/min below). Element i folds into lane i % kStripeLanes in index
 /// order; a fixed scalar reduction combines the lanes at the end. The
-/// scalar implementation executes this exact schedule, so wider SIMD tiers
-/// (2 doubles per SSE2 register, 4 per AVX2 register) reproduce it lane for
-/// lane and every tier returns bit-identical doubles.
+/// scalar implementation executes this exact schedule, so the AVX2 tier
+/// (two registers of 4 doubles) reproduces it lane for lane and every tier
+/// returns bit-identical doubles.
 inline constexpr size_t kStripeLanes = 8;
 
 /// The kernel dispatch table: one function pointer per vectorizable inner
-/// loop of the sampling/aggregation hot path. Every entry has a scalar
-/// reference implementation that *defines* the semantics; SSE2/AVX2 entries
-/// must be bit-identical to it for every input (pinned by
-/// tests/kernels_test.cc at every supported tier). None of the kernels
-/// allocates.
+/// loop of the sampling/aggregation hot path, each with a caller in the
+/// engine. Every entry has a scalar reference implementation that
+/// *defines* the semantics; AVX2 entries must be bit-identical to it for
+/// every input (pinned by tests/kernels_test.cc at every supported tier).
+/// None of the kernels allocates.
 struct KernelOps {
   /// out[i] = the i-th Xoshiro256::NextBounded(n) draw of `rng`, for
   /// i < count — the index stream every sampler consumes. RNG consumption
@@ -69,9 +68,6 @@ struct KernelOps {
   /// a NaN on either side never matches, including kNe.
   void (*eval_predicate_mask)(CmpOp op, const double* v, size_t n,
                               double rhs, uint8_t* mask);
-
-  /// Number of nonzero bytes in mask[0..n) — the COUNT of a selection.
-  uint64_t (*mask_popcount)(const uint8_t* mask, size_t n);
 
   /// Order-preserving compaction: copies v[i] where mask[i] != 0 into
   /// `out`, returning the survivor count m. `out` must have room for n
@@ -120,20 +116,10 @@ struct KernelOps {
   /// tiers agree the result is NaN in exactly the same cases.
   double (*sum)(const double* v, size_t n);
 
-  /// Striped sum where rows with mask[i] == 0 contribute the neutral
-  /// element -0.0 instead of v[i] (x + -0.0 == x for every x, including
-  /// ±0.0, so skipped rows perturb nothing — the scalar reference performs
-  /// the same neutral-element add, keeping every tier bit-identical).
-  double (*masked_sum)(const double* v, const uint8_t* mask, size_t n);
-
-  /// Striped min/max with lane update `(v < lane) ? v : lane` (resp. >):
-  /// NaN rows are ignored; ties (including ±0.0) keep the incumbent.
-  /// Empty input returns +inf (min) / -inf (max). Masked variants treat
-  /// mask[i] == 0 rows as the neutral element (+inf / -inf).
+  /// Striped min with lane update `(v < lane) ? v : lane`: NaN rows are
+  /// ignored; ties (including ±0.0) keep the incumbent. Empty input
+  /// returns +inf.
   double (*min)(const double* v, size_t n);
-  double (*max)(const double* v, size_t n);
-  double (*masked_min)(const double* v, const uint8_t* mask, size_t n);
-  double (*masked_max)(const double* v, const uint8_t* mask, size_t n);
 
   /// Strided half-compaction — the survivor pass of the quantile-sketch
   /// compactor: copies v[offset], v[offset + 2], ... (indices < n) into
@@ -159,8 +145,8 @@ std::string_view ActiveLevelName();
 /// The strongest tier this CPU can execute, ignoring ISLA_KERNELS.
 DispatchLevel DetectBestLevel();
 
-/// True when `level`'s table is compiled into this binary (SSE2/AVX2 tables
-/// exist only on x86).
+/// True when `level`'s table is compiled into this binary (the AVX2 table
+/// exists only on x86-64).
 bool LevelCompiled(DispatchLevel level);
 
 /// True when `level` is compiled in AND the CPU can execute it. Benches and
@@ -174,7 +160,7 @@ std::vector<DispatchLevel> SupportedLevels();
 
 /// The table of a specific tier, for same-run tier comparisons. Falls back
 /// to the scalar table when `level` is not compiled in; the caller must
-/// check LevelSupported before *executing* SSE2/AVX2 entries.
+/// check LevelSupported before *executing* AVX2 entries.
 const KernelOps& OpsFor(DispatchLevel level);
 
 /// Comma-separated SIMD feature list of this CPU ("sse2,sse4.2,avx,avx2"),

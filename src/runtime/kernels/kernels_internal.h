@@ -36,7 +36,6 @@ inline void NeumaierStep(double& sum, double& comp, double v) {
 
 /// Lane update of the striped min: keep the incumbent on ties and NaN.
 inline double MinStep(double lane, double v) { return v < lane ? v : lane; }
-inline double MaxStep(double lane, double v) { return v > lane ? v : lane; }
 
 /// The fixed final reduction of a striped sum: lanes then compensations,
 /// in lane order, through one more Neumaier accumulator. Every tier calls
@@ -52,12 +51,6 @@ inline double ReduceStripedSum(const double* sum, const double* comp) {
 inline double ReduceStripedMin(const double* lanes) {
   double m = std::numeric_limits<double>::infinity();
   for (size_t j = 0; j < kStripeLanes; ++j) m = MinStep(m, lanes[j]);
-  return m;
-}
-
-inline double ReduceStripedMax(const double* lanes) {
-  double m = -std::numeric_limits<double>::infinity();
-  for (size_t j = 0; j < kStripeLanes; ++j) m = MaxStep(m, lanes[j]);
   return m;
 }
 
@@ -91,14 +84,6 @@ inline void SumTail(const double* v, size_t start, size_t n, double* lanes,
   }
 }
 
-inline void MaskedSumTail(const double* v, const uint8_t* mask, size_t start,
-                          size_t n, double* lanes, double* comps) {
-  for (size_t i = start; i < n; ++i) {
-    const double x = mask[i] != 0 ? v[i] : -0.0;
-    NeumaierStep(lanes[i % kStripeLanes], comps[i % kStripeLanes], x);
-  }
-}
-
 inline void MinTail(const double* v, size_t start, size_t n, double* lanes) {
   for (size_t i = start; i < n; ++i) {
     double& lane = lanes[i % kStripeLanes];
@@ -106,39 +91,11 @@ inline void MinTail(const double* v, size_t start, size_t n, double* lanes) {
   }
 }
 
-inline void MaxTail(const double* v, size_t start, size_t n, double* lanes) {
-  for (size_t i = start; i < n; ++i) {
-    double& lane = lanes[i % kStripeLanes];
-    lane = MaxStep(lane, v[i]);
-  }
-}
-
-inline void MaskedMinTail(const double* v, const uint8_t* mask, size_t start,
-                          size_t n, double* lanes) {
-  for (size_t i = start; i < n; ++i) {
-    double& lane = lanes[i % kStripeLanes];
-    lane = MinStep(lane, mask[i] != 0
-                             ? v[i]
-                             : std::numeric_limits<double>::infinity());
-  }
-}
-
-inline void MaskedMaxTail(const double* v, const uint8_t* mask, size_t start,
-                          size_t n, double* lanes) {
-  for (size_t i = start; i < n; ++i) {
-    double& lane = lanes[i % kStripeLanes];
-    lane = MaxStep(lane, mask[i] != 0
-                             ? v[i]
-                             : -std::numeric_limits<double>::infinity());
-  }
-}
-
-/// The scalar tier's table (also the fallback entry set that SSE2/AVX2
-/// tables borrow for kernels where narrow SIMD does not pay).
+/// The scalar tier's table (also the fallback entry set the AVX2 table
+/// borrows for kernels where SIMD does not pay).
 const KernelOps& ScalarOps();
 
-/// SSE2 / AVX2 tables; null when not compiled into this binary (non-x86).
-const KernelOps* Sse2Ops();
+/// The AVX2 table; null when not compiled into this binary (non-x86-64).
 const KernelOps* Avx2Ops();
 
 }  // namespace internal

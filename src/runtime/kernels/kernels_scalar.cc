@@ -1,5 +1,5 @@
 // Scalar reference tier: the semantic ground truth of every kernel. The
-// SSE2/AVX2 tiers must match these functions bit for bit on every input
+// AVX2 tier must match these functions bit for bit on every input
 // (tests/kernels_test.cc enforces it), so any change here is a change to
 // the kernel contract itself. Compiled with auto-vectorization disabled
 // (see CMakeLists.txt): the reference stays genuinely scalar, which keeps
@@ -75,12 +75,6 @@ void EvalPredicateMaskScalar(CmpOp op, const double* v, size_t n, double rhs,
   std::memset(mask, 0, n);
 }
 
-uint64_t MaskPopcountScalar(const uint8_t* mask, size_t n) {
-  uint64_t count = 0;
-  for (size_t i = 0; i < n; ++i) count += mask[i] != 0 ? 1 : 0;
-  return count;
-}
-
 size_t CompactMaskedScalar(const double* v, const uint8_t* mask, size_t n,
                            double* out) {
   size_t m = 0;
@@ -143,37 +137,12 @@ double SumScalar(const double* v, size_t n) {
   return ReduceStripedSum(lanes, comps);
 }
 
-double MaskedSumScalar(const double* v, const uint8_t* mask, size_t n) {
-  double lanes[kStripeLanes] = {0.0};
-  double comps[kStripeLanes] = {0.0};
-  MaskedSumTail(v, mask, 0, n, lanes, comps);
-  return ReduceStripedSum(lanes, comps);
-}
-
 double MinScalar(const double* v, size_t n) {
   double lanes[kStripeLanes];
   for (double& lane : lanes) {
     lane = std::numeric_limits<double>::infinity();
   }
   MinTail(v, 0, n, lanes);
-  return ReduceStripedMin(lanes);
-}
-
-double MaxScalar(const double* v, size_t n) {
-  double lanes[kStripeLanes];
-  for (double& lane : lanes) {
-    lane = -std::numeric_limits<double>::infinity();
-  }
-  MaxTail(v, 0, n, lanes);
-  return ReduceStripedMax(lanes);
-}
-
-double MaskedMinScalar(const double* v, const uint8_t* mask, size_t n) {
-  double lanes[kStripeLanes];
-  for (double& lane : lanes) {
-    lane = std::numeric_limits<double>::infinity();
-  }
-  MaskedMinTail(v, mask, 0, n, lanes);
   return ReduceStripedMin(lanes);
 }
 
@@ -184,33 +153,19 @@ size_t CompactStride2Scalar(const double* v, size_t n, size_t offset,
   return m;
 }
 
-double MaskedMaxScalar(const double* v, const uint8_t* mask, size_t n) {
-  double lanes[kStripeLanes];
-  for (double& lane : lanes) {
-    lane = -std::numeric_limits<double>::infinity();
-  }
-  MaskedMaxTail(v, mask, 0, n, lanes);
-  return ReduceStripedMax(lanes);
-}
-
 }  // namespace
 
 const KernelOps& ScalarOps() {
   static constexpr KernelOps ops = {
       GenerateUniformIndicesScalar,
       EvalPredicateMaskScalar,
-      MaskPopcountScalar,
       CompactMaskedScalar,
       CompactGroupedScalar,
       ClassifyRegionsScalar,
       GatherF64Scalar,
       IndicesInRangeScalar,
       SumScalar,
-      MaskedSumScalar,
       MinScalar,
-      MaxScalar,
-      MaskedMinScalar,
-      MaskedMaxScalar,
       CompactStride2Scalar,
   };
   return ops;

@@ -15,15 +15,25 @@ namespace runtime {
 
 namespace {
 
+/// Runs [begin, end) in order and returns the shard's first failure.
+/// `first_failed` is the smallest failing index seen by any shard; it only
+/// decreases, so once it is below i every later index of the shard would
+/// be skipped too.
 Status RunShardRange(uint64_t begin, uint64_t end,
+                     std::atomic<uint64_t>& first_failed,
                      const std::function<Status(uint64_t)>& body) {
-  // Keep going past failures; report the smallest failing index.
-  Status first = Status::OK();
   for (uint64_t i = begin; i < end; ++i) {
+    if (first_failed.load(std::memory_order_relaxed) < i) break;
     Status s = body(i);
-    if (!s.ok() && first.ok()) first = std::move(s);
+    if (!s.ok()) {
+      uint64_t seen = first_failed.load(std::memory_order_relaxed);
+      while (i < seen && !first_failed.compare_exchange_weak(
+                             seen, i, std::memory_order_relaxed)) {
+      }
+      return s;
+    }
   }
-  return first;
+  return Status::OK();
 }
 
 }  // namespace
@@ -36,10 +46,11 @@ unsigned EffectiveParallelism(uint32_t requested) {
 Status ParallelFor(uint64_t n, uint32_t parallelism,
                    const std::function<Status(uint64_t)>& body) {
   if (n == 0) return Status::OK();
+  std::atomic<uint64_t> first_failed{std::numeric_limits<uint64_t>::max()};
   const unsigned threads =
       static_cast<unsigned>(std::min<uint64_t>(EffectiveParallelism(parallelism), n));
   if (threads <= 1 || ThreadPool::InWorkerThread()) {
-    return RunShardRange(0, n, body);
+    return RunShardRange(0, n, first_failed, body);
   }
 
   // Contiguous shards of (nearly) equal size; shard s covers
@@ -57,7 +68,7 @@ Status ParallelFor(uint64_t n, uint32_t parallelism,
     const uint64_t begin = s * base + std::min<uint64_t>(s, rem);
     const uint64_t end = begin + base + (s < rem ? 1 : 0);
     pool->SubmitToShard(s, [&, s, begin, end] {
-      shard_status[s] = RunShardRange(begin, end, body);
+      shard_status[s] = RunShardRange(begin, end, first_failed, body);
       std::lock_guard<std::mutex> lock(mu);
       if (--pending == 0) cv.notify_one();
     });
@@ -65,7 +76,8 @@ Status ParallelFor(uint64_t n, uint32_t parallelism,
 
   // The calling thread takes shard 0 so a 2-way ParallelFor on a 1-worker
   // pool still makes progress.
-  shard_status[0] = RunShardRange(0, base + (rem > 0 ? 1 : 0), body);
+  shard_status[0] =
+      RunShardRange(0, base + (rem > 0 ? 1 : 0), first_failed, body);
 
   {
     std::unique_lock<std::mutex> lock(mu);
@@ -76,22 +88,6 @@ Status ParallelFor(uint64_t n, uint32_t parallelism,
     if (!s.ok()) return s;
   }
   return Status::OK();
-}
-
-Status ParallelForUntilFailure(uint64_t n, uint32_t parallelism,
-                               const std::function<Status(uint64_t)>& body) {
-  std::atomic<uint64_t> first_failed{std::numeric_limits<uint64_t>::max()};
-  return ParallelFor(n, parallelism, [&](uint64_t i) -> Status {
-    if (first_failed.load(std::memory_order_relaxed) < i) return Status::OK();
-    Status s = body(i);
-    if (!s.ok()) {
-      uint64_t seen = first_failed.load(std::memory_order_relaxed);
-      while (i < seen && !first_failed.compare_exchange_weak(
-                             seen, i, std::memory_order_relaxed)) {
-      }
-    }
-    return s;
-  });
 }
 
 }  // namespace runtime

@@ -83,7 +83,7 @@ Status GatherInto(const Block& block, std::span<const uint64_t> indices,
   if (view.empty()) return block.GatherAt(indices, out);
   // Resident path through the kernel dispatch table: one vectorized range
   // check over the whole batch (preserving the no-partial-output contract),
-  // then a hardware-gather resolve where the tier has one.
+  // then the gather.
   const auto& kernels = runtime::kernels::Ops();
   if (!kernels.indices_in_range(indices.data(), indices.size(),
                                 view.size())) {

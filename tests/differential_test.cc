@@ -17,6 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <array>
 #include <memory>
 #include <thread>
@@ -603,6 +608,33 @@ TEST_F(DifferentialTest, RecreatedTableNeverServesStaleCacheEntries) {
 // requires every query to complete bit-identical to the healthy loopback
 // answer, across the same parallelism sweep as the healthy suite.
 
+/// A socket bound to a stopped server's loopback port that never listens:
+/// a connect to the port still gets ECONNREFUSED, but no server started
+/// meanwhile (in another test binary, say) can take the port and answer in
+/// the dead server's place.
+class PortHold {
+ public:
+  explicit PortHold(uint16_t port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    if (fd_ < 0) return;
+    sockaddr_in sa{};
+    sa.sin_family = AF_INET;
+    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    sa.sin_port = htons(port);
+    if (::bind(fd_, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+  ~PortHold() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  PortHold(const PortHold&) = delete;
+  PortHold& operator=(const PortHold&) = delete;
+
+ private:
+  int fd_;
+};
+
 /// Two replica WorkerServers per shard. Channel layout [A0, B0, A1, B1,
 /// ...] with placement[w] = {2w, 2w+1}; the failover transport prefers
 /// placement[w][w % 2], and `preferred_options` is applied to exactly that
@@ -611,14 +643,19 @@ struct ReplicatedCluster {
   std::vector<std::unique_ptr<net::WorkerServer>> servers;
   std::vector<net::Endpoint> endpoints;
   std::vector<std::vector<uint64_t>> placement;
+  /// The ports of the servers StopPreferred stopped, held until StopAll.
+  std::vector<std::unique_ptr<PortHold>> held_ports;
 
   void StopPreferred() {
     for (size_t w = 0; w < placement.size(); ++w) {
-      servers[placement[w][w % placement[w].size()]]->Stop();
+      const uint64_t e = placement[w][w % placement[w].size()];
+      servers[e]->Stop();
+      held_ports.push_back(std::make_unique<PortHold>(endpoints[e].port));
     }
   }
   void StopAll() {
     for (auto& server : servers) server->Stop();
+    held_ports.clear();
   }
 };
 

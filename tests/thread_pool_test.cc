@@ -95,14 +95,21 @@ TEST(ParallelFor, ReportsSmallestFailingIndex) {
   }
 }
 
-TEST(ParallelFor, AllIterationsRunDespiteFailures) {
-  std::atomic<int> ran{0};
-  Status s = ParallelFor(64, 4, [&](uint64_t i) -> Status {
-    ran.fetch_add(1);
-    return i % 2 == 0 ? Status::Internal("even") : Status::OK();
+TEST(ParallelFor, SkipsIndicesAboveFirstFailure) {
+  // Inline, indices run in order: nothing above the first failure runs,
+  // and the returned Status is that failure's.
+  std::vector<uint64_t> ran;
+  Status s = ParallelFor(64, 1, [&](uint64_t i) -> Status {
+    ran.push_back(i);
+    if (i == 10 || i == 20) {
+      return Status::Internal("fail " + std::to_string(i));
+    }
+    return Status::OK();
   });
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(ran.load(), 64);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("fail 10"), std::string::npos) << s;
+  ASSERT_EQ(ran.size(), 11u);
+  EXPECT_EQ(ran.back(), 10u);
 }
 
 TEST(ParallelFor, NestedCallsRunInline) {

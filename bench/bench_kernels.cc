@@ -7,7 +7,10 @@
 // timings on shared machines are noise): on AVX2 hardware the predicate-
 // mask, compaction (masked, grouped, region split) and sum kernels must
 // beat scalar by --min-simd-speedup (default 2x). Without AVX2 the check
-// is skipped with a logged notice.
+// is skipped with a logged notice. The tiers are timed interleaved — each
+// of kRepetitions rounds times every tier back to back, alternating their
+// order — and a speedup is the median of the per-round scalar/tier time
+// ratios, so load that drifts over the run hits both sides of a ratio.
 //
 // Flags: --rows N          total elements processed per measurement
 //        --buffer N        working-set elements (fits L2 by default, so
@@ -20,6 +23,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -85,17 +90,12 @@ bool BitEqual(double a, double b) {
   return ba == bb;
 }
 
-/// Median-of-3 wall-clock of `fn` in milliseconds.
-template <typename Fn>
-double MedianMillis(Fn&& fn) {
-  std::vector<double> times;
-  for (int rep = 0; rep < 3; ++rep) {
-    Timer timer;
-    fn();
-    times.push_back(timer.ElapsedMillis());
-  }
-  std::sort(times.begin(), times.end());
-  return times[1];
+/// Interleaved timing rounds per kernel (odd, so a median is one round).
+constexpr int kRepetitions = 5;
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 struct Row {
@@ -138,6 +138,14 @@ int main(int argc, char** argv) {
   std::vector<double> out_a(n + 8);
   std::vector<double> out_b(n + 8);
   std::vector<uint64_t> idx_out(n);
+  // Second outputs (grouped keys, region L) of the two-output kernels.
+  std::vector<double> aux_a(n + 8);
+  std::vector<double> aux_b(n + 8);
+  // Every 11th key NaN, so the grouped compaction drops rows by key too.
+  std::vector<double> nan_keys = keys;
+  for (size_t i = 0; i < n; i += 11) {
+    nan_keys[i] = std::numeric_limits<double>::quiet_NaN();
+  }
   // The predicate fixture: literal at the median, ~50% selectivity.
   const double literal = 100.0;
   kernels::OpsFor(kernels::DispatchLevel::kScalar)
@@ -181,78 +189,146 @@ int main(int argc, char** argv) {
                         n * sizeof(uint64_t)) == 0 &&
                 ra.Next() == rb.Next(),
             "index streams must be bit-identical across tiers");
+
+      // compact_grouped with and without each filter, NaN keys included.
+      for (const uint8_t* m : {mask.data(), static_cast<uint8_t*>(nullptr)}) {
+        for (const double* k :
+             {nan_keys.data(), static_cast<double*>(nullptr)}) {
+          const size_t ga = scalar.compact_grouped(data.data(), k, m, n,
+                                                   out_a.data(), aux_a.data());
+          const size_t gb = ops.compact_grouped(data.data(), k, m, n,
+                                                out_b.data(), aux_b.data());
+          Check(ga == gb &&
+                    std::memcmp(out_a.data(), out_b.data(),
+                                ga * sizeof(double)) == 0 &&
+                    (k == nullptr ||
+                     std::memcmp(aux_a.data(), aux_b.data(),
+                                 ga * sizeof(double)) == 0),
+                "grouped compactions must be bit-identical across tiers");
+        }
+      }
+      size_t sa = 0, la = 0, sb = 0, lb = 0;
+      scalar.classify_regions(data.data(), n, 0.0, 60.0, 90.0, 110.0, 140.0,
+                              out_a.data(), &sa, aux_a.data(), &la);
+      ops.classify_regions(data.data(), n, 0.0, 60.0, 90.0, 110.0, 140.0,
+                           out_b.data(), &sb, aux_b.data(), &lb);
+      Check(sa == sb && la == lb &&
+                std::memcmp(out_a.data(), out_b.data(),
+                            sa * sizeof(double)) == 0 &&
+                std::memcmp(aux_a.data(), aux_b.data(),
+                            la * sizeof(double)) == 0,
+            "region splits must be bit-identical across tiers");
+      for (size_t len : {n, n - 1}) {
+        for (size_t offset : {size_t{0}, size_t{1}}) {
+          const size_t ka =
+              scalar.compact_stride2(data.data(), len, offset, out_a.data());
+          const size_t kb =
+              ops.compact_stride2(data.data(), len, offset, out_b.data());
+          Check(ka == kb && std::memcmp(out_a.data(), out_b.data(),
+                                        ka * sizeof(double)) == 0,
+                "stride-2 compactions must be bit-identical across tiers");
+        }
+      }
+      // idx holds draws below n, so bound n passes and bound max_idx fails.
+      const uint64_t max_idx = *std::max_element(idx.begin(), idx.end());
+      for (uint64_t bound : {uint64_t{n}, max_idx + 1, max_idx, uint64_t{0}}) {
+        Check(ops.indices_in_range(idx.data(), n, bound) ==
+                      scalar.indices_in_range(idx.data(), n, bound) &&
+                  ops.indices_in_range(idx.data(), 0, bound),
+              "index range checks must agree across tiers");
+      }
     }
   }
 
-  // --- Per-kernel rows/sec at each tier. ---
-  std::vector<Row> rows;
-  auto measure = [&](const char* kernel, kernels::DispatchLevel level,
-                     auto&& body) {
-    const double ms = MedianMillis([&] {
-      for (uint64_t r = 0; r < reps; ++r) body();
-    });
-    const double rps =
-        static_cast<double>(reps) * static_cast<double>(n) / (ms / 1000.0);
-    rows.push_back({kernel, std::string(kernels::DispatchLevelName(level)),
-                    rps});
-    std::printf("%-22s %-6s  %.3e rows/sec\n", kernel,
-                std::string(kernels::DispatchLevelName(level)).c_str(),
-                rps);
+  // --- Per-kernel rows/sec at each tier, timed interleaved. ---
+  using Body = std::function<void(const kernels::KernelOps&)>;
+  const std::vector<std::pair<const char*, Body>> bodies = {
+      {"generate_indices",
+       [&](const kernels::KernelOps& ops) {
+         Xoshiro256 r(9);
+         ops.generate_uniform_indices(n, n, &r, idx_out.data());
+       }},
+      {"eval_predicate_mask",
+       [&](const kernels::KernelOps& ops) {
+         ops.eval_predicate_mask(kernels::CmpOp::kGe, data.data(), n, literal,
+                                 mask_out.data());
+       }},
+      {"compact_masked",
+       [&](const kernels::KernelOps& ops) {
+         g_sink_u = ops.compact_masked(data.data(), mask.data(), n,
+                                       out_a.data());
+       }},
+      {"compact_grouped",
+       [&](const kernels::KernelOps& ops) {
+         g_sink_u = ops.compact_grouped(data.data(), keys.data(), mask.data(),
+                                        n, out_a.data(), out_b.data());
+       }},
+      {"classify_regions",
+       [&](const kernels::KernelOps& ops) {
+         size_t ns = 0;
+         size_t nl = 0;
+         ops.classify_regions(data.data(), n, 0.0, 60.0, 90.0, 110.0, 140.0,
+                              out_a.data(), &ns, out_b.data(), &nl);
+         g_sink_u = ns + nl;
+       }},
+      {"gather_f64",
+       [&](const kernels::KernelOps& ops) {
+         ops.gather_f64(data.data(), idx.data(), n, out_a.data());
+       }},
+      {"sum",
+       [&](const kernels::KernelOps& ops) {
+         g_sink_d = ops.sum(data.data(), n);
+       }},
+      {"min",
+       [&](const kernels::KernelOps& ops) {
+         g_sink_d = ops.min(data.data(), n);
+       }},
   };
-
-  for (auto level : levels) {
-    const auto& ops = kernels::OpsFor(level);
-    measure("generate_indices", level, [&] {
-      Xoshiro256 r(9);
-      ops.generate_uniform_indices(n, n, &r, idx_out.data());
-    });
-    measure("eval_predicate_mask", level, [&] {
-      ops.eval_predicate_mask(kernels::CmpOp::kGe, data.data(), n, literal,
-                              mask_out.data());
-    });
-    measure("compact_masked", level, [&] {
-      g_sink_u = ops.compact_masked(data.data(), mask.data(), n,
-                                    out_a.data());
-    });
-    measure("compact_grouped", level, [&] {
-      g_sink_u = ops.compact_grouped(data.data(), keys.data(), mask.data(),
-                                     n, out_a.data(), out_b.data());
-    });
-    measure("classify_regions", level, [&] {
-      size_t ns = 0;
-      size_t nl = 0;
-      ops.classify_regions(data.data(), n, 0.0, 60.0, 90.0, 110.0, 140.0,
-                           out_a.data(), &ns, out_b.data(), &nl);
-      g_sink_u = ns + nl;
-    });
-    measure("gather_f64", level, [&] {
-      ops.gather_f64(data.data(), idx.data(), n, out_a.data());
-    });
-    measure("sum", level, [&] { g_sink_d = ops.sum(data.data(), n); });
-    measure("min", level, [&] { g_sink_d = ops.min(data.data(), n); });
+  const std::string best =
+      std::string(kernels::DispatchLevelName(levels.back()));
+  std::vector<Row> rows;
+  std::vector<std::pair<std::string, double>> speedups;
+  const double processed = static_cast<double>(reps) * static_cast<double>(n);
+  for (const auto& [kernel, body] : bodies) {
+    // ms[level][round]; odd rounds run the tiers in reverse order.
+    std::vector<std::vector<double>> ms(levels.size());
+    for (int round = 0; round < kRepetitions; ++round) {
+      for (size_t i = 0; i < levels.size(); ++i) {
+        const size_t li = round % 2 == 0 ? i : levels.size() - 1 - i;
+        const auto& ops = kernels::OpsFor(levels[li]);
+        Timer timer;
+        for (uint64_t r = 0; r < reps; ++r) body(ops);
+        ms[li].push_back(timer.ElapsedMillis());
+      }
+    }
+    for (size_t li = 0; li < levels.size(); ++li) {
+      const std::string level(kernels::DispatchLevelName(levels[li]));
+      const double rps = processed / (Median(ms[li]) / 1000.0);
+      rows.push_back({kernel, level, rps});
+      std::printf("%-22s %-6s  %.3e rows/sec\n", kernel, level.c_str(), rps);
+    }
+    // levels.front() is scalar: SupportedLevels() runs weakest first.
+    std::vector<double> ratios;
+    for (int round = 0; round < kRepetitions; ++round) {
+      ratios.push_back(ms.front()[round] / ms.back()[round]);
+    }
+    speedups.emplace_back(kernel, Median(ratios));
   }
 
   // --- Speedups of the strongest tier vs scalar. ---
-  auto rate_of = [&](const std::string& kernel,
-                     const std::string& level) -> double {
-    for (const Row& r : rows) {
-      if (r.kernel == kernel && r.level == level) return r.rows_per_sec;
+  const bool have_avx2 =
+      kernels::LevelSupported(kernels::DispatchLevel::kAvx2);
+  std::printf("\nspeedup (%s vs scalar, median of %d interleaved rounds):\n",
+              best.c_str(), kRepetitions);
+  for (const auto& [kernel, speedup] : speedups) {
+    std::printf("  %-22s %.2fx\n", kernel.c_str(), speedup);
+  }
+  auto speedup_of = [&](const std::string& kernel) -> double {
+    for (const auto& [name, speedup] : speedups) {
+      if (name == kernel) return speedup;
     }
     return 0.0;
   };
-  const bool have_avx2 =
-      kernels::LevelSupported(kernels::DispatchLevel::kAvx2);
-  const std::string best =
-      std::string(kernels::DispatchLevelName(levels.back()));
-  std::printf("\nspeedup (%s vs scalar):\n", best.c_str());
-  std::vector<std::pair<std::string, double>> speedups;
-  for (const char* kernel :
-       {"generate_indices", "eval_predicate_mask", "compact_masked",
-        "compact_grouped", "classify_regions", "gather_f64", "sum", "min"}) {
-    const double s = rate_of(kernel, best) / rate_of(kernel, "scalar");
-    speedups.emplace_back(kernel, s);
-    std::printf("  %-22s %.2fx\n", kernel, s);
-  }
 
   // --- Emit BENCH_kernels.json. ---
   std::FILE* f = std::fopen(cfg.out.c_str(), "w");
@@ -290,7 +366,7 @@ int main(int argc, char** argv) {
     for (const char* kernel :
          {"eval_predicate_mask", "compact_masked", "compact_grouped",
           "classify_regions", "sum"}) {
-      const double s = rate_of(kernel, "avx2") / rate_of(kernel, "scalar");
+      const double s = speedup_of(kernel);
       if (s < cfg.min_simd_speedup) {
         std::fprintf(stderr, "FATAL: %s avx2 speedup %.2fx < required %.2fx\n",
                      kernel, s, cfg.min_simd_speedup);

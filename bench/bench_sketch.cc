@@ -5,6 +5,14 @@
 // states, sweeps the capacity budget to map reported rank error against
 // the observed error on exact sorted data, and emits BENCH_sketch.json.
 //
+// It also prints the sketch scan plan against the m each contract needs:
+// for e in {0.01, 0.05, 0.1, 0.5} at β = 0.95, the rows PlanGroupedScan
+// gives a MEDIAN over a selectivity-1 group, the DKW-only m, and the
+// value-space m of Eq. (1) at σ = 20 (the AVG plan sketch runs once took).
+// It hard-fails if a plan's predicted rank band (DKW + RankErrorBound)
+// exceeds e where some m fits e, and, where none does (small e at this
+// capacity), unless the plan is the m with the narrowest band.
+//
 // The per-tier numbers share one process: compact_stride2 (the raw
 // kernel) and level_compaction (sort + compact over a capacity-sized
 // buffer, the sketch's actual compaction step) run through OpsFor(level).
@@ -26,7 +34,9 @@
 #include <string>
 #include <vector>
 
+#include "core/group_by.h"
 #include "runtime/kernels/kernels.h"
+#include "stats/confidence.h"
 #include "stats/sketch.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -132,6 +142,24 @@ struct CurvePoint {
   double reported_eps;
   double observed_eps;
 };
+
+struct PlanRow {
+  double e;
+  uint64_t planned;      // PlanGroupedScan rows at selectivity 1
+  uint64_t dkw_only;     // ⌈ln(2/(1−β))/(2e²)⌉
+  uint64_t value_space;  // Eq. (1) at σ = 20
+  double predicted;      // DKW(planned) + RankErrorBound(planned)
+  uint64_t best_m;       // the m with the narrowest predicted band
+  double best_band;
+};
+
+/// The rank band ApplyQuantileSummary predicts for a sampled sketch of m
+/// rows at the default capacity.
+double PredictedBand(uint64_t m, double beta) {
+  return QuantileSketch::RankErrorBound(m) +
+         std::sqrt(std::log(2.0 / (1.0 - beta)) /
+                   (2.0 * static_cast<double>(m)));
+}
 
 volatile double g_sink_d = 0.0;
 volatile uint64_t g_sink_u = 0;
@@ -310,6 +338,59 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- Planned sketch scan vs the m each contract needs. ---
+  constexpr double kBeta = 0.95;
+  constexpr uint64_t kTableRows = 16'000'000;
+  std::printf("\nsketch scan plan (beta=%.2f, selectivity 1, %" PRIu64
+              "-row table):\n",
+              kBeta, kTableRows);
+  std::printf("  %-6s %10s %10s %14s %10s\n", "e", "planned", "dkw_only",
+              "value(s=20)", "band");
+  std::vector<PlanRow> plan;
+  {
+    isla::core::GroupedPilot pilot;
+    pilot.pilot_samples = 1000;
+    for (int i = 0; i < 1000; ++i) pilot.groups[0.0].Add(100.0 + i % 41);
+    pilot.all = pilot.groups[0.0];
+    for (double e : {0.01, 0.05, 0.1, 0.5}) {
+      isla::core::IslaOptions options;
+      options.precision = e;
+      options.confidence = kBeta;
+      auto planned = isla::core::PlanGroupedScan(pilot, options, kTableRows,
+                                                 /*want_sketch=*/true);
+      auto value_space = isla::stats::RequiredSampleSize(20.0, e, kBeta);
+      Check(planned.ok() && value_space.ok(), "plan must succeed");
+      const auto dkw_only = static_cast<uint64_t>(
+          std::ceil(std::log(2.0 / (1.0 - kBeta)) / (2.0 * e * e)));
+      PlanRow row{e, *planned, dkw_only, *value_space,
+                  PredictedBand(*planned, kBeta), 0, 2.0};
+      // The band narrows within each step of RankErrorBound, so its
+      // minimum sits at a step's last m: (k−1)·2^j − 1, or the table.
+      const uint64_t k1 = QuantileSketch::kDefaultCapacity - 1;
+      for (uint64_t end = k1 - 1;; end = 2 * end + 1) {
+        const uint64_t m = std::min(end, kTableRows);
+        if (PredictedBand(m, kBeta) < row.best_band) {
+          row.best_band = PredictedBand(m, kBeta);
+          row.best_m = m;
+        }
+        if (m == kTableRows) break;
+      }
+      plan.push_back(row);
+      std::printf("  %-6.2f %10" PRIu64 " %10" PRIu64 " %14" PRIu64
+                  " %10.5f%s\n",
+                  e, row.planned, row.dkw_only, row.value_space,
+                  row.predicted,
+                  row.predicted > e ? "  (no m fits e: narrowest band)" : "");
+      if (row.best_band <= e) {
+        Check(row.predicted <= e,
+              "a planned sketch scan's predicted rank band exceeds e");
+      } else {
+        Check(row.planned == row.best_m,
+              "where no m fits e, the plan must be the narrowest band");
+      }
+    }
+  }
+
   // --- Emit BENCH_sketch.json. ---
   std::FILE* f = std::fopen(cfg.out.c_str(), "w");
   Check(f != nullptr, "cannot open --out file");
@@ -339,6 +420,20 @@ int main(int argc, char** argv) {
                  curve[i].capacity, curve[i].stored_values,
                  curve[i].reported_eps, curve[i].observed_eps,
                  i + 1 < curve.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"plan_table_rows\": %" PRIu64 ",\n", kTableRows);
+  std::fprintf(f, "  \"plan\": [\n");
+  for (size_t i = 0; i < plan.size(); ++i) {
+    std::fprintf(f,
+                 "    {\"e\": %.2f, \"planned\": %" PRIu64
+                 ", \"dkw_only\": %" PRIu64
+                 ", \"value_space_sigma20\": %" PRIu64
+                 ", \"predicted_band\": %.6e, \"best_m\": %" PRIu64
+                 ", \"best_band\": %.6e}%s\n",
+                 plan[i].e, plan[i].planned, plan[i].dkw_only,
+                 plan[i].value_space, plan[i].predicted, plan[i].best_m,
+                 plan[i].best_band, i + 1 < plan.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n");
   std::fprintf(f, "}\n");

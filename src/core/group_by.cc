@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "runtime/kernels/kernels.h"
@@ -280,6 +281,53 @@ Status ScanGroupedShard(const storage::Block& values,
                              sample_count, &rng, out, scratch, want_sketch);
 }
 
+namespace {
+
+/// The DKW half-width √(ln(2/(1−β))/(2m)) of a uniform CDF band from m iid
+/// rows at confidence β: the sampling half of a sketch's reported rank band.
+double DkwRankError(double m, double confidence) {
+  return std::sqrt(std::log(2.0 / (1.0 - confidence)) / (2.0 * m));
+}
+
+/// The rank band ApplyQuantileSummary reports at worst for a sampled
+/// sketch of m rows.
+double PredictedRankBand(uint64_t m, double confidence) {
+  return stats::QuantileSketch::RankErrorBound(m) +
+         DkwRankError(static_cast<double>(m), confidence);
+}
+
+/// The per-group sketch sample: the smallest m ≤ cap whose predicted rank
+/// band fits within e, found by iterating
+/// m ← ⌈ln(2/(1−β))/(2(e − RankErrorBound(m))²)⌉ from below. The bound is
+/// a step function rising with m, so every m the iteration skips fails the
+/// band too, and it ends within a few steps. When no m fits, more rows
+/// only widen the band once the sketch bound outgrows the DKW term, so the
+/// plan is the m with the narrowest band: the band narrows within each
+/// step of the bound, so that m ends a step, (k−1)·2^j − 1, or is cap.
+uint64_t SketchSampleSize(double e, double confidence, uint64_t cap) {
+  const double half_log = std::log(2.0 / (1.0 - confidence)) / 2.0;
+  double m = 1.0;
+  while (m <= static_cast<double>(cap)) {
+    const uint64_t rows = static_cast<uint64_t>(m);
+    if (PredictedRankBand(rows, confidence) <= e) return rows;
+    const double slack = e - stats::QuantileSketch::RankErrorBound(rows);
+    if (slack <= 0.0) break;  // the bound only grows with m
+    m = std::max(m + 1.0, std::ceil(half_log / (slack * slack)));
+  }
+  uint64_t narrowest = cap;
+  for (uint64_t end = stats::QuantileSketch::kDefaultCapacity - 2; end < cap;
+       end = 2 * end + 1) {
+    if (PredictedRankBand(end, confidence) <
+        PredictedRankBand(narrowest, confidence)) {
+      narrowest = end;
+    }
+    if (end > cap / 2) break;  // the next end is past cap
+  }
+  return narrowest;
+}
+
+}  // namespace
+
 Result<uint64_t> PlanGroupedScan(const GroupedPilot& pilot,
                                  const IslaOptions& options,
                                  uint64_t data_size, bool want_sketch) {
@@ -298,15 +346,13 @@ Result<uint64_t> PlanGroupedScan(const GroupedPilot& pilot,
         std::min(fallback, static_cast<double>(data_size)));
   }
 
-  // Quantile runs also satisfy the DKW rank contract per group:
-  // m ≥ ln(2/(1−β))/(2e²) matching samples for a ±e rank band at β, with
-  // the requested precision read in rank space (a rank error is at most
-  // 1, so e clamps to 1).
-  double m_dkw = 0.0;
+  // Sketch runs answer a rank contract only, so every group needs the same
+  // matching-sample count and σ̂ never enters: the precision is read in
+  // rank space (a rank error is at most 1, so e clamps to 1).
+  uint64_t m_rank = 0;
   if (want_sketch) {
-    const double e = std::min(options.precision, 1.0);
-    m_dkw = std::ceil(std::log(2.0 / (1.0 - options.confidence)) /
-                      (2.0 * e * e));
+    m_rank = SketchSampleSize(std::min(options.precision, 1.0),
+                              options.confidence, data_size);
   }
 
   const double pilot_n = static_cast<double>(pilot.pilot_samples);
@@ -314,15 +360,18 @@ Result<uint64_t> PlanGroupedScan(const GroupedPilot& pilot,
   for (const auto& [key, moments] : pilot.groups) {
     (void)key;
     const double selectivity = static_cast<double>(moments.n) / pilot_n;
-    double sigma = std::sqrt(moments.Variance());
-    uint64_t m_g = 2;
-    if (sigma > 0.0) {
-      ISLA_ASSIGN_OR_RETURN(m_g,
-                            stats::RequiredSampleSize(sigma, options.precision,
-                                                      options.confidence));
+    uint64_t m_g = m_rank;
+    if (!want_sketch) {
+      // Eq. (1): m_g = u²σ̂_g²/e² matching samples for a ±e AVG.
+      m_g = 2;
+      const double sigma = std::sqrt(moments.Variance());
+      if (sigma > 0.0) {
+        ISLA_ASSIGN_OR_RETURN(
+            m_g, stats::RequiredSampleSize(sigma, options.precision,
+                                           options.confidence));
+      }
     }
-    const double m_need = std::max(static_cast<double>(m_g), m_dkw);
-    scan = std::max(scan, std::ceil(m_need / selectivity));
+    scan = std::max(scan, std::ceil(static_cast<double>(m_g) / selectivity));
   }
   scan = std::ceil(scan * options.sampling_rate_scale);
   if (!(scan >= 2.0)) scan = 2.0;
@@ -393,16 +442,26 @@ Status ApplyQuantileSummary(const SketchMap& sketches,
     // every matching row.
     double eps = s.RankErrorFraction();
     if (sampled) {
-      eps += std::sqrt(std::log(2.0 / (1.0 - options.confidence)) /
-                       (2.0 * static_cast<double>(s.count())));
+      eps += DkwRankError(static_cast<double>(s.count()), options.confidence);
     }
     if (eps > 1.0) eps = 1.0;
     g.rank_error = eps;
     if (want_quantile) {
       const double q = summary.quantile_q;
       g.quantile_value = s.Query(q);
-      g.quantile_lo = s.Query(q - eps);
-      g.quantile_hi = s.Query(q + eps);
+      // A band end at or past rank 0 or 1 has no order statistic behind it:
+      // open on a sample, the exact extreme on an exact run.
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      if (q - eps > 0.0) {
+        g.quantile_lo = s.Query(q - eps);
+      } else {
+        g.quantile_lo = sampled ? -kInf : s.min();
+      }
+      if (q + eps < 1.0) {
+        g.quantile_hi = s.Query(q + eps);
+      } else {
+        g.quantile_hi = sampled ? kInf : s.max();
+      }
       g.meets_precision = eps <= options.precision;
     }
     if (want_histogram) {

@@ -157,19 +157,23 @@ struct GroupedPilot {
   GroupMap groups;
 };
 
-/// Sizes the shared main scan from the pilot: for each group, Eq. (1) gives
-/// the matching-sample requirement m_g = u²σ̂_g²/e²; dividing by the group's
-/// observed selectivity f̂_g = n_g/pilot turns it into a scan requirement.
-/// The scan is the largest per-group requirement, scaled by
-/// options.sampling_rate_scale and clamped to [2, data_size]. A pilot that
-/// scanned rows but matched nothing plans a 100×-pilot fallback scan
-/// (clamped to data_size) so rare-but-present groups still surface; only a
-/// pilot that scanned nothing plans 0.
-/// When `want_sketch` is set, each group's matching-sample requirement also
-/// covers the quantile contract: the DKW inequality needs
-/// m ≥ ln(2/(1−β))/(2e²) matching samples for a uniform ±e rank band at
-/// confidence β, with e read as options.precision in rank space (clamped
-/// to ≤ 1).
+/// Sizes the shared main scan from the pilot: each group's matching-sample
+/// requirement m_g, divided by the group's observed selectivity
+/// f̂_g = n_g/pilot, is a scan requirement, and the scan is the largest of
+/// them, scaled by options.sampling_rate_scale and clamped to
+/// [2, data_size]. A pilot that scanned rows but matched nothing plans a
+/// 100×-pilot fallback scan (clamped to data_size) so rare-but-present
+/// groups still surface; only a pilot that scanned nothing plans 0.
+///
+/// AVG runs take m_g = u²σ̂_g²/e² from Eq. (1). Sketch runs (`want_sketch`)
+/// answer a rank contract and print no AVG, so σ̂ does not enter: every
+/// group takes the smallest m whose reported rank band, the DKW term
+/// √(ln(2/(1−β))/(2m)) plus QuantileSketch::RankErrorBound(m), is ≤ e, with
+/// e = options.precision read in rank space (clamped to ≤ 1). At e = 0.05,
+/// β = 0.95 that is 1262 rows per group. Since the sketch bound grows with
+/// m, small e can have no such m (e below about 0.034 at the default
+/// capacity and β = 0.95); m_g is then the m ≤ data_size with the
+/// narrowest predicted band (16319 rows there), as more would widen it.
 Result<uint64_t> PlanGroupedScan(const GroupedPilot& pilot,
                                  const IslaOptions& options,
                                  uint64_t data_size,
@@ -189,8 +193,11 @@ struct GroupResult {
   // Quantile surface, filled by ApplyQuantileSummary on want_sketch runs.
   double quantile_value = 0.0;  // sketch value at the requested q
   double rank_error = 0.0;      // reported ±ε rank band (fraction of rows)
-  double quantile_lo = 0.0;     // value band: Query(q − ε)
-  double quantile_hi = 0.0;     //             Query(q + ε)
+  // Value band: Query(q − ε) and Query(q + ε). An end whose rank falls at
+  // or past 0 (resp. 1) is -inf (+inf) on a sampled run and the exact
+  // min() (max()) on an exact one; see ApplyQuantileSummary.
+  double quantile_lo = 0.0;
+  double quantile_hi = 0.0;
   uint64_t sketch_samples = 0;  // rows folded into this group's sketch
   std::vector<double> histogram;  // estimated matching rows per bin
   double histogram_lo = 0.0;    // histogram value range [lo, hi]
@@ -224,6 +231,11 @@ Result<GroupedAggregateResult> SummarizeGroups(const GroupMap& merged,
 /// bound plus, when `sampled`, the DKW sampling term
 /// √(ln(2/(1−β)) / (2·m_g)) at confidence β = options.confidence; the
 /// value band [quantile_lo, quantile_hi] is the sketch queried at q ∓ ε.
+/// Where q − ε ≤ 0 (q + ε ≥ 1) the band's rank end lies below (above)
+/// every order statistic, so a sampled run leaves that end open at -inf
+/// (+inf): nothing bounds the population below the smallest value drawn.
+/// An exact run (`sampled` false) closes it with the sketch's exact
+/// min() (max()).
 /// Histogram bins are equal-width over the group's exact sampled
 /// [min, max], scaled to estimated matching rows (count_estimate).
 /// Pure post-processing: deterministic given the merged sketches.

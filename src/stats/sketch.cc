@@ -121,6 +121,16 @@ double QuantileSketch::RankErrorFraction() const {
   return static_cast<double>(error_weight_) / static_cast<double>(count_);
 }
 
+double QuantileSketch::RankErrorBound(uint64_t n, size_t capacity) {
+  const uint64_t k1 = std::clamp(capacity, kMinCapacity, kMaxCapacity) - 1;
+  uint64_t levels = 0;  // levels l with (k−1)·2^l ≤ n
+  for (uint64_t w = k1; w <= n; w <<= 1) {
+    ++levels;
+    if (w > n / 2) break;  // the next level is out of reach (and no overflow)
+  }
+  return static_cast<double>(levels) / static_cast<double>(k1);
+}
+
 double QuantileSketch::Query(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

@@ -59,6 +59,16 @@ class QuantileSketch {
   /// error_weight()/count(); 0 when empty.
   double RankErrorFraction() const;
 
+  /// Worst-case RankErrorFraction() of a sketch of `capacity` that has
+  /// taken `n` rows under any sequence of Adds and Merges:
+  /// (⌊log₂(n/(k−1))⌋ + 1)/(k−1) with k the (clamped) capacity, 0 while
+  /// n < k − 1. Each level-l compaction consumes at least (k−1)·2^l weight
+  /// and adds 2^l error, and the weight that ever reaches one level is at
+  /// most n, so a level adds at most n/(k−1) error, and only levels with
+  /// (k−1)·2^l ≤ n compact at all. Pure, so a scan can be sized from it.
+  static double RankErrorBound(uint64_t n,
+                               size_t capacity = kDefaultCapacity);
+
   /// Value at quantile q (clamped to [0,1]): the smallest stored value
   /// whose cumulative weight exceeds q·count(). 0 when empty.
   double Query(double q) const;

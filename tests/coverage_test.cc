@@ -305,5 +305,40 @@ TEST_F(GroupedCoverage, CountEstimatesAreCalibratedToo) {
   }
 }
 
+TEST_F(GroupedCoverage, QuantileValueBandsHoldWhereTheRankBandLeavesZeroOrOne) {
+  // At precision 0.5 each group draws only a few rows, and the ±ε rank
+  // band of q = 0.05 reaches below rank 0 and that of q = 0.95 above rank
+  // 1. The value band [quantile_lo, quantile_hi] must still hold the exact
+  // q-quantile (the value at rank ⌊q·n⌋, Query's own definition) at β per
+  // group; a run that misses a group counts as a miss.
+  options_.precision = 0.5;
+  for (double q : {0.05, 0.5, 0.95}) {
+    core::GroupByEngine engine(options_);
+    std::map<double, int> covered;
+    for (int i = 0; i < kRuns; ++i) {
+      core::GroupedSpec spec = Spec();
+      spec.want_sketch = true;
+      spec.summary.quantile_q = q;
+      auto r = engine.Aggregate(spec, 0xed9eULL ^ (9000ULL + i));
+      ASSERT_TRUE(r.ok()) << r.status();
+      for (const core::GroupResult& g : r->groups) {
+        const std::vector<double>& sorted = matching_.at(g.key);
+        const size_t rank = std::min(
+            sorted.size() - 1,
+            static_cast<size_t>(q * static_cast<double>(sorted.size())));
+        const double exact = sorted[rank];
+        if (g.quantile_lo <= exact && exact <= g.quantile_hi) {
+          ++covered[g.key];
+        }
+      }
+    }
+    double floor = CoverageFloor(options_.confidence, kRuns);
+    for (const auto& [key, sorted] : matching_) {
+      EXPECT_GE(static_cast<double>(covered[key]) / kRuns, floor)
+          << "QUANTILE(" << q << ") value-band coverage, group " << key;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace isla

@@ -521,6 +521,64 @@ TEST(GroupByEngine, RarePredicateSurvivesEmptyPilot) {
   EXPECT_GE(found, 5);
 }
 
+/// A pilot of `n` rows that all match and fall in one group, valued
+/// scale·(i mod 7) so σ̂ grows with `scale`.
+GroupedPilot UniformPilot(uint64_t n, double scale) {
+  GroupedPilot pilot;
+  pilot.pilot_samples = n;
+  for (uint64_t i = 0; i < n; ++i) {
+    pilot.groups[0.0].Add(scale * static_cast<double>(i % 7));
+  }
+  pilot.all = pilot.groups[0.0];
+  return pilot;
+}
+
+TEST(PlanGroupedScan, SketchPlanDoesNotDependOnSigma) {
+  // A rank contract has no value scale: multiplying every pilot value by
+  // 1000 moves σ̂ 1000× but must leave the sketch plan where it was.
+  IslaOptions options;
+  options.precision = 0.05;
+  for (uint64_t data_size : {uint64_t{5000}, uint64_t{100'000'000}}) {
+    auto narrow = PlanGroupedScan(UniformPilot(1000, 1.0), options, data_size,
+                                  /*want_sketch=*/true);
+    auto wide = PlanGroupedScan(UniformPilot(1000, 1000.0), options,
+                                data_size, /*want_sketch=*/true);
+    ASSERT_TRUE(narrow.ok() && wide.ok());
+    EXPECT_EQ(*narrow, *wide) << "data size " << data_size;
+  }
+}
+
+TEST(PlanGroupedScan, SketchPlanIsSizedByTheRankBand) {
+  // At e = 0.05, β = 0.95 and selectivity 1, DKW alone needs 738 rows and
+  // the sketch bound adds 3/255 at 1262: the plan must stay in that range,
+  // far below the AVG plan of a σ = 20 column (~615k rows).
+  IslaOptions options;
+  options.precision = 0.05;
+  options.confidence = 0.95;
+  auto plan = PlanGroupedScan(UniformPilot(1000, 20.0), options,
+                              100'000'000, /*want_sketch=*/true);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_GE(*plan, 738u);
+  EXPECT_LE(*plan, 1300u);
+
+  // An ungrouped, unfiltered MEDIAN run scans exactly that plan and
+  // reports a rank band inside the requested e.
+  auto data = MakeAligned(200'000, 4, 1, 11);
+  GroupedSpec spec;
+  spec.values = &data->values;
+  spec.want_sketch = true;
+  spec.summary.quantile_q = 0.5;
+  GroupByEngine engine(options);
+  auto r = engine.Aggregate(spec);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->scanned_samples, *plan);
+  ASSERT_EQ(r->groups.size(), 1u);
+  EXPECT_EQ(r->groups[0].sketch_samples, *plan);
+  EXPECT_GT(r->groups[0].rank_error, 0.0);
+  EXPECT_LE(r->groups[0].rank_error, options.precision);
+  EXPECT_TRUE(r->groups[0].meets_precision);
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace isla

@@ -291,6 +291,67 @@ TEST(QuantileSketch, ErrorGrowsSlowly) {
             4.0 * small_s.RankErrorFraction() + 1e-9);
 }
 
+TEST(QuantileSketch, RankErrorBoundHoldsForRandomInsertMergeTrees) {
+  // The static bound the scan planner sizes from must hold for every
+  // history: uneven blocks (some empty) merged pairwise in random order,
+  // over data mixing ±0.0 and ±inf into finite values. Checked as
+  // RankErrorFraction() ≤ RankErrorBound(count()), the same inequality as
+  // error_weight() ≤ count()·RankErrorBound(count()) without a rounded
+  // product.
+  auto expect_within_bound = [](const QuantileSketch& s, size_t capacity) {
+    EXPECT_LE(s.RankErrorFraction(),
+              QuantileSketch::RankErrorBound(s.count(), capacity))
+        << "capacity " << capacity << ": error_weight " << s.error_weight()
+        << " over count " << s.count();
+  };
+  for (size_t capacity : {size_t{2}, size_t{64}, size_t{256}}) {
+    for (uint64_t trial = 0; trial < 20; ++trial) {
+      Xoshiro256 rng(SplitMix64::Hash(capacity, trial));
+      std::vector<QuantileSketch> pool;
+      const uint64_t blocks = 1 + rng.NextBounded(12);
+      for (uint64_t b = 0; b < blocks; ++b) {
+        QuantileSketch s(capacity);
+        const uint64_t rows = rng.NextBounded(uint64_t{1}
+                                              << rng.NextBounded(17));
+        for (uint64_t i = 0; i < rows; ++i) {
+          switch (rng.NextBounded(16)) {
+            case 0:
+              s.Add(0.0);
+              break;
+            case 1:
+              s.Add(-0.0);
+              break;
+            case 2:
+              s.Add(kInf);
+              break;
+            case 3:
+              s.Add(-kInf);
+              break;
+            default:
+              s.Add(1000.0 * rng.NextDouble() - 500.0);
+          }
+        }
+        expect_within_bound(s, capacity);
+        pool.push_back(std::move(s));
+      }
+      while (pool.size() > 1) {
+        const size_t a = rng.NextBounded(pool.size());
+        size_t b = rng.NextBounded(pool.size() - 1);
+        if (b >= a) ++b;
+        ASSERT_TRUE(pool[a].Merge(pool[b]).ok());
+        expect_within_bound(pool[a], capacity);
+        pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(b));
+      }
+    }
+  }
+  // The closed form at the default capacity: levels 0..2 compact by 1262
+  // rows ((k−1)·2² = 1020 ≤ 1262 < 2040), none below k − 1.
+  EXPECT_EQ(QuantileSketch::RankErrorBound(0), 0.0);
+  EXPECT_EQ(QuantileSketch::RankErrorBound(254), 0.0);
+  EXPECT_DOUBLE_EQ(QuantileSketch::RankErrorBound(255), 1.0 / 255.0);
+  EXPECT_DOUBLE_EQ(QuantileSketch::RankErrorBound(1262), 3.0 / 255.0);
+}
+
 }  // namespace
 }  // namespace stats
 }  // namespace isla
